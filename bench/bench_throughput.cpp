@@ -235,7 +235,7 @@ EndToEnd run_cell(sim::Engine::QueueImpl impl, const CellConfig& cc,
 }
 
 /// The same cell through ShardedPlatform: apps hash-partitioned into lanes,
-/// arrivals injected per window barrier instead of scheduled upfront. With
+/// arrivals injected one window at a time instead of scheduled upfront. With
 /// one lane this is the monolithic simulation with a bounded live event set;
 /// with more lanes the fleet is partitioned too.
 EndToEnd run_sharded(int lanes, int lane_threads, const CellConfig& cc,
@@ -517,9 +517,9 @@ int main(int argc, char** argv) {
         cal.events_per_sec > 0.0 ? sharded.back().events_per_sec / cal.events_per_sec
                                  : 0.0;
     sh["note"] =
-        "streaming per-window arrival injection bounds the live event set; on a "
-        "single-core host any speedup over the monolithic run is algorithmic, not "
-        "parallelism";
+        "streaming per-window arrival injection bounds the live event set; each "
+        "lane runs to the horizon on one of lane_threads threads, so a speedup "
+        "beyond the lanes=1 row needs as many cores as populated lanes";
     doc["sharded"] = std::move(sh);
   }
   {
@@ -547,7 +547,7 @@ int main(int argc, char** argv) {
     // cell's Σ exclusive / root — the root scope brackets the whole cell,
     // so it is 1.0 by construction (the bench contract demands >= 0.9).
     // Sharded cells can exceed 1.0: lane wall time on worker threads
-    // overlaps the coordinator's barrier wait.
+    // overlaps the coordinator's wait for the lanes.
     json::Value pr = json::Value::object();
     pr["coverage"] = prof::snapshot_to_json(cal.profile).get("coverage", 0.0);
     pr["calendar"] = prof::snapshot_to_json(cal.profile);

@@ -54,8 +54,9 @@ struct ExperimentOptions {
   /// bit-identical at any lane_threads; a single-app deployment is
   /// invariant in lanes.
   int lanes = 1;
-  /// Threads stepping the lanes between window barriers (0 = hardware
-  /// concurrency, 1 = serial). Wall-clock only — never changes results.
+  /// Threads running the lanes, each lane to the horizon on one thread
+  /// (0 = hardware concurrency, 1 = serial). Wall-clock only — never
+  /// changes results.
   int lane_threads = 0;
 
   serverless::PlatformOptions platform;
@@ -89,8 +90,8 @@ struct ExperimentOptions {
   /// Non-null hands the pump to the driver and feeds arrivals through a
   /// streaming WorkSource (rt::TraceReplayer over the same traces), so a
   /// pacing driver sees each arrival no earlier than its due time — the
-  /// live-serving mode. Requires lanes == 1 (pacing a window-barrier
-  /// sharded world is a different problem).
+  /// live-serving mode. Requires lanes == 1 (pacing lanes that each run
+  /// on their own clock is a different problem).
   sim::Driver* driver = nullptr;
 
   /// Export internal queue diagnostics (CalendarStats, engine counters
@@ -150,8 +151,8 @@ std::vector<RunResult> run_colocated(std::vector<ColocatedApp> apps,
 
 /// The sharded flavor of run_colocated: apps are hash-partitioned into
 /// `options.lanes` deterministic lanes, each a full private world over a
-/// slice of the 8-machine testbed, advanced in window-barrier lockstep (see
-/// serverless::ShardedPlatform). With `options.lanes == 1` — or any cell
+/// slice of the 8-machine testbed, each lane run to the horizon on its own
+/// (see serverless::ShardedPlatform). With `options.lanes == 1` — or any cell
 /// whose apps land in a single lane — this reproduces run_colocated's
 /// trajectory exactly. run_colocated calls this itself when lanes > 1;
 /// calling it directly is for tests and the throughput bench.

@@ -163,6 +163,11 @@ class Value {
     return out;
   }
 
+  /// parse() accepts arrays and objects nested at most this deep. The
+  /// parser recurses once per level, so an unbounded depth would let a
+  /// hostile document overflow the stack; no real config comes close.
+  static constexpr int kMaxDepth = 256;
+
   static Value parse(const std::string& text) {
     Parser p{text, 0};
     Value v = p.parse_value();
@@ -271,6 +276,7 @@ class Value {
   struct Parser {
     const std::string& text;
     std::size_t pos;
+    int depth = 0;
 
     [[noreturn]] void fail(const std::string& what) const {
       throw std::runtime_error("json parse error at offset " + std::to_string(pos) + ": " +
@@ -301,10 +307,19 @@ class Value {
       return true;
     }
 
+    /// Parse one array or object, failing past kMaxDepth levels.
+    Value parse_nested(Value (Parser::*parse)()) {
+      if (++depth > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      Value v = (this->*parse)();
+      --depth;
+      return v;
+    }
+
     Value parse_value() {
       switch (peek()) {
-        case '{': return parse_object();
-        case '[': return parse_array();
+        case '{': return parse_nested(&Parser::parse_object);
+        case '[': return parse_nested(&Parser::parse_array);
         case '"': return Value(parse_string());
         case 't':
           if (consume("true")) return Value(true);

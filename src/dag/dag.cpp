@@ -20,7 +20,11 @@ NodeId Dag::add_node(std::string name) {
   names_.push_back(std::move(name));
   succ_.emplace_back();
   pred_.emplace_back();
-  return static_cast<NodeId>(names_.size() - 1);
+  // The newest node has the largest id, so appending keeps both lists sorted.
+  const auto id = static_cast<NodeId>(names_.size() - 1);
+  sources_.push_back(id);
+  sinks_.push_back(id);
+  return id;
 }
 
 void Dag::add_edge(NodeId u, NodeId v) {
@@ -31,6 +35,8 @@ void Dag::add_edge(NodeId u, NodeId v) {
                     "duplicate edge " << names_[u] << " -> " << names_[v]);
   SMILESS_CHECK_MSG(!would_create_cycle(u, v),
                     "edge " << names_[u] << " -> " << names_[v] << " creates a cycle");
+  if (succ_[u].empty()) sinks_.erase(std::find(sinks_.begin(), sinks_.end(), u));
+  if (pred_[v].empty()) sources_.erase(std::find(sources_.begin(), sources_.end(), v));
   succ_[u].push_back(v);
   pred_[v].push_back(u);
 }
@@ -59,20 +65,6 @@ std::span<const NodeId> Dag::successors(NodeId n) const {
 std::span<const NodeId> Dag::predecessors(NodeId n) const {
   SMILESS_CHECK(n >= 0 && static_cast<std::size_t>(n) < size());
   return pred_[n];
-}
-
-std::vector<NodeId> Dag::sources() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < size(); ++i)
-    if (pred_[i].empty()) out.push_back(static_cast<NodeId>(i));
-  return out;
-}
-
-std::vector<NodeId> Dag::sinks() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < size(); ++i)
-    if (succ_[i].empty()) out.push_back(static_cast<NodeId>(i));
-  return out;
 }
 
 std::vector<NodeId> Dag::topo_order() const {

@@ -44,9 +44,9 @@ class Dag {
   std::size_t in_degree(NodeId n) const { return predecessors(n).size(); }
   std::size_t out_degree(NodeId n) const { return successors(n).size(); }
 
-  /// Nodes with no predecessors / no successors.
-  std::vector<NodeId> sources() const;
-  std::vector<NodeId> sinks() const;
+  /// Nodes with no predecessors / no successors, in ascending id order.
+  const std::vector<NodeId>& sources() const { return sources_; }
+  const std::vector<NodeId>& sinks() const { return sinks_; }
 
   /// Topological order (Kahn). Stable: ties broken by insertion order.
   std::vector<NodeId> topo_order() const;
@@ -80,6 +80,8 @@ class Dag {
   std::vector<std::string> names_;
   std::vector<std::vector<NodeId>> succ_;
   std::vector<std::vector<NodeId>> pred_;
+  std::vector<NodeId> sources_;  ///< maintained by add_node / add_edge
+  std::vector<NodeId> sinks_;
 };
 
 }  // namespace smiless::dag

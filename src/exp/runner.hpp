@@ -41,10 +41,10 @@ struct RunnerOptions {
   /// 0 means hardware_concurrency.
   std::size_t policy_threads = 0;
 
-  /// Threads stepping a sharded cell's lanes between window barriers
-  /// (serverless::ShardOptions::lane_threads): 0 = hardware concurrency,
-  /// 1 = serial. A runner option, not a config field, because it affects
-  /// wall-clock only — results are bit-identical for every value.
+  /// Threads running a sharded cell's lanes, each lane to the horizon on
+  /// one thread (serverless::ShardOptions::lane_threads): 0 = hardware
+  /// concurrency, 1 = serial. A runner option, not a config field, because
+  /// it affects wall-clock only — results are bit-identical for every value.
   int lane_threads = 0;
 
   /// Print one line per finished cell to stderr.

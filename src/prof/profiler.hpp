@@ -13,8 +13,8 @@
 ///
 /// Model: an RAII ScopeTimer pushes a frame per instrumented site
 /// (sim::Engine::run_until, calendar ops, Gateway window ticks, dispatch,
-/// pool lifecycle, the policy solver, sharded lane steps and the lane
-/// barrier). Frames nest; on pop the child's wall time is charged to the
+/// pool lifecycle, the policy solver, sharded lane window steps and the
+/// coordinator's wait for the lanes). Frames nest; on pop the child's wall time is charged to the
 /// parent's "children" bucket, so for every site we report
 ///   inclusive_ns  - total wall time with the site anywhere on the stack,
 ///   exclusive_ns  - inclusive minus instrumented children,
@@ -24,8 +24,8 @@
 /// construction rather than by luck.
 ///
 /// A Profiler is deliberately NOT thread-safe: each sharded lane owns a
-/// private Profiler and the coordinator merges them after the barrier
-/// (merge() keeps a per-lane breakdown). Everything is zero-overhead when
+/// private Profiler and the coordinator merges them once every lane has
+/// finished (merge() keeps a per-lane breakdown). Everything is zero-overhead when
 /// the `prof::Profiler*` hanging off PlatformOptions / RunnerOptions is
 /// null: ScopeTimer degenerates to a single pointer test.
 ///
@@ -61,8 +61,8 @@ enum class Site : int {
   Dispatch,        ///< FunctionScheduler::dispatch (queues -> batches)
   PoolCreate,      ///< InstancePool::create_instance (cold-start issue)
   PoolBatchDone,   ///< InstancePool::on_batch_done (completion bookkeeping)
-  LaneStep,        ///< ShardedPlatform: one lane's window step
-  ShardBarrier,    ///< ShardedPlatform: coordinator barrier (slowest lane)
+  LaneStep,        ///< ShardedPlatform: one window of one lane's run
+  ShardBarrier,    ///< ShardedPlatform: coordinator's one wait for all lanes
   Finalize,        ///< Platform/ShardedPlatform finalize + telemetry merge
   kCount
 };

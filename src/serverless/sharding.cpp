@@ -10,7 +10,6 @@
 #include "obs/merge.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/profiler.hpp"
-#include "sim/lane_engine.hpp"
 #include "workload/arrival_cursor.hpp"
 
 namespace smiless::serverless {
@@ -21,7 +20,7 @@ namespace smiless::serverless {
 /// so a lone populated lane consumes its RNG exactly like the unsharded run.
 struct ShardedPlatform::Lane {
   int id;
-  sim::LaneEngine engine;
+  sim::Engine engine;
   cluster::Cluster cluster;
   int machine_base;
   Rng rng;
@@ -37,7 +36,6 @@ struct ShardedPlatform::Lane {
   Lane(int lane_id, std::size_t machines, cluster::MachineSpec spec, int base,
        std::uint64_t seed, faults::FaultSpec fspec)
       : id(lane_id),
-        engine(lane_id),
         cluster(machines, spec),
         machine_base(base),
         rng(seed),
@@ -116,17 +114,17 @@ void ShardedPlatform::build_lanes() {
     if (options_.telemetry != nullptr) lane->telemetry = std::make_unique<obs::Telemetry>();
     if (options_.prof != nullptr) {
       lane->prof = std::make_unique<prof::Profiler>(lane_id);
-      lane->engine.engine().set_profiler(lane->prof.get());
+      lane->engine.set_profiler(lane->prof.get());
     }
     PlatformOptions popt = options_.platform;
     popt.lane = lane_id;
     popt.faults = lane->injector.enabled() ? &lane->injector : nullptr;
     popt.bus = lane->telemetry != nullptr ? &lane->telemetry->bus() : nullptr;
     popt.prof = lane->prof.get();
-    lane->platform = std::make_unique<Platform>(lane->engine.engine(), lane->cluster,
+    lane->platform = std::make_unique<Platform>(lane->engine, lane->cluster,
                                                 options_.pricing, lane->rng, popt);
     lane->injector.set_bus(popt.bus);
-    lane->injector.arm(lane->engine.engine(), lane->cluster);
+    lane->injector.arm(lane->engine, lane->cluster);
 
     for (std::size_t g : mine) refs_[g].lane_index = static_cast<int>(p);
     machine_base += static_cast<int>(n);
@@ -164,17 +162,26 @@ void ShardedPlatform::build_lanes() {
     for (const auto& arr : lane->arrivals) lane->cursors.emplace_back(&arr);
 }
 
-void ShardedPlatform::inject_arrivals(Lane& lane, double limit, bool flush_all) {
-  // Window-barrier streaming via the shared ArrivalCursor: strictly-before
-  // the barrier each step, everything on the final flush (so the scheduled-
-  // event tally matches the monolithic upfront run).
-  for (std::size_t a = 0; a < lane.cursors.size(); ++a) {
-    const auto submit = [&](SimTime t) { lane.platform->submit_request(lane.ids[a], t); };
-    if (flush_all) {
-      lane.cursors[a].drain_all(submit);
-    } else {
-      lane.cursors[a].drain_before(limit, submit);
+void ShardedPlatform::run_lane(Lane& lane, SimTime end) const {
+  const double w = options_.platform.window_seconds;
+  for (double t = 0.0; t < end;) {
+    const double step_end = std::min(end, t + w);
+    prof::ScopeTimer lane_scope(lane.prof.get(), prof::Site::LaneStep);
+    // Arrivals stream in through the shared ArrivalCursor: those strictly
+    // before the window's end, and every remaining one (even past `end`) in
+    // the final window, so the scheduled-event tally matches the monolithic
+    // run, which schedules the whole trace upfront.
+    const bool flush = step_end >= end;
+    for (std::size_t a = 0; a < lane.cursors.size(); ++a) {
+      const auto submit = [&](SimTime at) { lane.platform->submit_request(lane.ids[a], at); };
+      if (flush) {
+        lane.cursors[a].drain_all(submit);
+      } else {
+        lane.cursors[a].drain_before(step_end, submit);
+      }
     }
+    lane.engine.run_until(step_end);
+    t = step_end;
   }
 }
 
@@ -182,13 +189,12 @@ void ShardedPlatform::run(SimTime end) {
   SMILESS_CHECK_MSG(!ran_, "ShardedPlatform::run is one-shot");
   ran_ = true;
   SMILESS_CHECK(end > 0.0);
-  const double w = options_.platform.window_seconds;
-  SMILESS_CHECK(w > 0.0);
+  SMILESS_CHECK(options_.platform.window_seconds > 0.0);
   build_lanes();
 
   // Lanes get a private pool: they must never share the policies' solver
   // pool (a policy blocking on its own pool's futures from a lane thread
-  // would deadlock the barrier). A pool with one effective worker (e.g.
+  // could deadlock it). A pool with one effective worker (e.g.
   // lane_threads=0 on a single-core host) is pure dispatch overhead, so
   // those cases take the serial path — the results are identical either
   // way, per the lane_threads invariance contract.
@@ -202,31 +208,18 @@ void ShardedPlatform::run(SimTime end) {
     if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
   }
 
-  double t = 0.0;
-  while (t < end) {
-    const double step_end = std::min(end, t + w);
-    // The final step flushes every remaining arrival (even past `end`) so
-    // the scheduled-event tally matches the monolithic run, which schedules
-    // the whole trace upfront.
-    const bool flush = step_end >= end;
-    auto step = [&](std::size_t li) {
-      Lane& lane = *lanes_[li];
-      // Per-lane wall time, recorded into the lane's private profiler on
-      // whichever pool thread runs the step.
-      prof::ScopeTimer lane_scope(lane.prof.get(), prof::Site::LaneStep);
-      inject_arrivals(lane, step_end, flush);
-      lane.engine.step_to(step_end);
-    };
-    // The coordinator charges the whole window — i.e. the wait for the
-    // slowest lane — to the barrier site; a lane's own barrier wait is the
-    // difference between this and its lane_step time.
+  {
+    // Lane-major: each lane runs its own window loop to the horizon as one
+    // task. No lane reads another's state, so lanes need not meet until
+    // the end; the coordinator charges its one wait for all of them to the
+    // barrier site. parallel_for waits for every lane before rethrowing
+    // the first error, so no lane outlives a failed run().
     prof::ScopeTimer barrier(options_.prof, prof::Site::ShardBarrier);
     if (pool != nullptr) {
-      parallel_for(*pool, lanes_.size(), step);
+      parallel_for(*pool, lanes_.size(), [&](std::size_t li) { run_lane(*lanes_[li], end); });
     } else {
-      for (std::size_t li = 0; li < lanes_.size(); ++li) step(li);
+      for (auto& lane : lanes_) run_lane(*lane, end);
     }
-    t = step_end;
   }
 
   {
@@ -274,7 +267,7 @@ sim::EngineStats ShardedPlatform::engine_stats() const {
 sim::CalendarStats ShardedPlatform::calendar_stats() const {
   sim::CalendarStats sum;
   for (const auto& lane : lanes_) {
-    const sim::CalendarStats* s = lane->engine.engine().calendar_stats();
+    const sim::CalendarStats* s = lane->engine.calendar_stats();
     if (s == nullptr) continue;
     sum.resizes += s->resizes;
     sum.direct_searches += s->direct_searches;

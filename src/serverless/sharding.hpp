@@ -23,11 +23,12 @@ struct ShardOptions {
   /// single lane holding every app over the whole cluster.
   int lanes = 1;
 
-  /// Threads stepping lanes between window barriers. 1 steps lanes serially
-  /// on the calling thread; 0 picks hardware concurrency (capped at the
-  /// populated lane count). The choice affects wall-clock only — every
-  /// artifact is byte-identical at any thread count. Lanes never run on a
-  /// policy solver pool (a policy blocking on its own pool would deadlock).
+  /// Threads running lanes, each lane to the horizon on one thread. 1 runs
+  /// lanes one after another on the calling thread; 0 picks hardware
+  /// concurrency (capped at the populated lane count). The choice affects
+  /// wall-clock only — every artifact is byte-identical at any thread
+  /// count. Lanes never run on a policy solver pool (a policy blocking on
+  /// its own pool would deadlock).
   int lane_threads = 0;
 
   std::uint64_t seed = 42;
@@ -39,8 +40,9 @@ struct ShardOptions {
   cluster::MachineSpec machine_spec;
   perf::Pricing pricing;
 
-  /// Per-lane platform knobs; `window_seconds` doubles as the barrier
-  /// period. `lane` and the fault/bus pointers are overwritten per lane.
+  /// Per-lane platform knobs; `window_seconds` doubles as the period of
+  /// each lane's arrival injection. `lane` and the fault/bus pointers are
+  /// overwritten per lane.
   PlatformOptions platform;
 
   /// Cell-wide fault model. Scheduled crashes are filtered to each lane's
@@ -56,10 +58,11 @@ struct ShardOptions {
 
   /// Merged self-profiler output (non-owning, may be null). Profilers are
   /// not thread-safe, so each lane times itself into a private Profiler
-  /// (lane step, engine, platform subsystems) while the coordinator charges
-  /// barrier waits here; lane profilers are merged into this one — keeping
-  /// a per-lane breakdown — after the run. Wall-clock only; the trajectory
-  /// and every golden-compared artifact are identical with or without it.
+  /// (lane window steps, engine, platform subsystems) while the coordinator
+  /// charges its one wait for all lanes here; lane profilers are merged
+  /// into this one — keeping a per-lane breakdown — after the run.
+  /// Wall-clock only; the trajectory and every golden-compared artifact are
+  /// identical with or without it.
   prof::Profiler* prof = nullptr;
 };
 
@@ -67,17 +70,18 @@ struct ShardOptions {
 ///
 /// Apps are partitioned by a stable hash of their deploy index; each lane
 /// owns a full private world — engine, cluster slice, RNG, fault injector,
-/// platform, telemetry — and lanes advance in lockstep between
-/// `window_seconds` barriers. Because lanes share no mutable state and every
-/// merge is ordered by (time, lane id, per-lane order), the output is
+/// platform, telemetry — and each lane runs its own window loop to the
+/// horizon on one thread, never waiting for another lane. Because lanes
+/// share no mutable state and every merge, done after all lanes have
+/// finished, is ordered by (time, lane id, per-lane order), the output is
 /// bit-identical at any `lane_threads`, and a cell whose apps land in one
 /// lane reproduces the monolithic run exactly: the lone lane inherits the
 /// whole cluster, the unmixed seed (the lane seed of app index 0 IS the cell
 /// seed) and the full fault spec.
 ///
-/// Arrivals are injected one window ahead of the barrier instead of being
-/// scheduled upfront, bounding live events in each lane's queue to roughly a
-/// window's worth — this is also the platform's throughput path (see
+/// Arrivals are injected one window at a time instead of being scheduled
+/// upfront, bounding live events in each lane's queue to roughly a window's
+/// worth — this is also the platform's throughput path (see
 /// BENCH_throughput.json).
 ///
 /// Usage: add_app() every app, then run() exactly once, then read the books.
@@ -93,8 +97,9 @@ class ShardedPlatform {
   /// absolute sim times). Returns the app's global id. Call before run().
   int add_app(apps::App app, std::shared_ptr<Policy> policy, std::vector<SimTime> arrivals);
 
-  /// Build the lanes, serve until `end` in window-barrier lockstep, finalize
-  /// every lane and merge telemetry. Call exactly once.
+  /// Build the lanes, run each to `end`, finalize every lane and merge
+  /// telemetry. Call exactly once. An exception from any lane is rethrown
+  /// once every lane has stopped.
   void run(SimTime end);
 
   /// The stable partition function: lane of the app with deploy index
@@ -135,7 +140,9 @@ class ShardedPlatform {
   };
 
   void build_lanes();
-  void inject_arrivals(Lane& lane, double limit, bool flush_all);
+  /// One lane's window loop: inject the window's arrivals, run the engine
+  /// to the window's end, until `end`.
+  void run_lane(Lane& lane, SimTime end) const;
 
   ShardOptions options_;
   std::vector<PendingApp> pending_;

@@ -14,8 +14,8 @@ namespace smiless::workload {
 ///
 ///  - the classic monolithic run drains the whole trace upfront
 ///    (`drain_all`) before the DES pump starts;
-///  - the sharded platform streams one window at a time (`drain_before`
-///    each barrier, `drain_all` at the final flush);
+///  - each sharded lane streams one window at a time (`drain_before` the
+///    window's end, `drain_all` at the final flush);
 ///  - the real-time replayer feeds arrivals in as the wall clock reaches
 ///    them (`next_time` to learn the next due instant, `drain_through` to
 ///    inject it).
@@ -44,8 +44,8 @@ class ArrivalCursor {
   }
 
   /// Feed every arrival strictly before `limit` to `fn`, in order. Returns
-  /// the number fed. (The window-barrier streaming bound: an arrival at
-  /// exactly the barrier belongs to the next window.)
+  /// the number fed. (The per-window streaming bound: an arrival at
+  /// exactly a window's end belongs to the next window.)
   template <typename Fn>
   std::size_t drain_before(SimTime limit, Fn&& fn) {
     std::size_t n = 0;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -100,6 +103,24 @@ TEST(TextTable, RejectsMismatchedRowWidth) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
+}
+
+TEST(Json, DeepNestingFailsCleanly) {
+  // One stack frame per level: without a depth cap this overflows the stack.
+  try {
+    json::Value::parse(std::string(200000, '['));
+    FAIL() << "must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("json parse error at offset ", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Json, NestingUpToTheCapParses) {
+  const int depth = json::Value::kMaxDepth;
+  const std::string doc = std::string(depth, '[') + std::string(depth, ']');
+  EXPECT_EQ(json::Value::parse(doc).dump(), doc);
+  EXPECT_THROW(json::Value::parse("[" + doc + "]"), std::runtime_error);
 }
 
 }  // namespace

@@ -7,17 +7,21 @@
 //    lane inherits the whole cluster and the unmixed seed), across policies,
 //    seeds, and with fault injection + observability on;
 //  - a multi-app sharded cell is invariant in lane_threads (parallelism is
-//    wall-clock only).
+//    wall-clock only);
+//  - a lane that fails mid-run surfaces its error from run_sharded.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/experiment.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 #include "obs/telemetry.hpp"
+#include "serverless/policy.hpp"
 #include "serverless/sharding.hpp"
 #include "workload/trace.hpp"
 
@@ -196,6 +200,61 @@ TEST(Sharding, MultiAppShardIsInvariantInLaneThreads) {
       expect_same_result(serial[i], parallel[i]);
     }
     expect_same_telemetry(serial_tel, tel);
+  }
+}
+
+/// Forwards every hook to the wrapped policy, except that its `fail_at`-th
+/// on_window throws instead.
+class FailingPolicy final : public serverless::Policy {
+ public:
+  FailingPolicy(std::shared_ptr<serverless::Policy> inner, int fail_at)
+      : inner_(std::move(inner)), fail_at_(fail_at) {}
+
+  std::string name() const override { return inner_->name(); }
+  void on_deploy(serverless::AppId app, const apps::App& spec,
+                 serverless::PlatformView& platform) override {
+    inner_->on_deploy(app, spec, platform);
+  }
+  void on_window(serverless::AppId app, const apps::App& spec,
+                 serverless::PlatformView& platform,
+                 const serverless::WindowStats& stats) override {
+    if (++windows_ == fail_at_)
+      throw std::runtime_error("policy failed in window " + std::to_string(windows_));
+    inner_->on_window(app, spec, platform, stats);
+  }
+  void on_arrival(serverless::AppId app, const apps::App& spec,
+                  serverless::PlatformView& platform, SimTime now) override {
+    inner_->on_arrival(app, spec, platform, now);
+  }
+  void on_instance_failed(serverless::AppId app, const apps::App& spec,
+                          serverless::PlatformView& platform, dag::NodeId node,
+                          serverless::InstanceFailure kind) override {
+    inner_->on_instance_failed(app, spec, platform, node, kind);
+  }
+  void set_audit_log(obs::AuditLog* audit) override { inner_->set_audit_log(audit); }
+
+ private:
+  std::shared_ptr<serverless::Policy> inner_;
+  int fail_at_;
+  int windows_ = 0;
+};
+
+/// A lane whose policy throws a few windows in must end run_sharded with
+/// that error — serially and with lanes on competing threads — instead of
+/// hanging or losing it while the other lanes run on.
+TEST(Sharding, FailingLaneRethrowsItsError) {
+  const auto& store = runner().profiles(2024);
+  const Deployment dep(90.0);
+  for (const int lane_threads : {1, 2}) {
+    SCOPED_TRACE("lane_threads=" + std::to_string(lane_threads));
+    auto apps = dep.colocated(store);
+    apps[2].policy = std::make_shared<FailingPolicy>(std::move(apps[2].policy), 5);
+    try {
+      baselines::run_sharded(std::move(apps), sharded_options(nullptr, 4, lane_threads));
+      FAIL() << "run_sharded must rethrow the lane's error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "policy failed in window 5");
+    }
   }
 }
 

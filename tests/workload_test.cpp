@@ -145,7 +145,7 @@ TEST(ArrivalCursor, DrainBoundsMatchTheirInjectionModes) {
   EXPECT_DOUBLE_EQ(cursor.next_time(), 1.0);
   EXPECT_EQ(cursor.remaining(), 5u);
 
-  // drain_before is strict (< limit): the window-barrier bound.
+  // drain_before is strict (< limit): the per-window streaming bound.
   EXPECT_EQ(cursor.drain_before(2.0, grab), 1u);
   EXPECT_EQ(got, (std::vector<SimTime>{1.0}));
 

@@ -166,7 +166,7 @@ lint_step() {
 }
 
 # ThreadSanitizer flavor: the concurrency suite, the exp parallel==serial
-# determinism suite, the lane-equivalence suite (lanes stepped by competing
+# determinism suite, the lane-equivalence suite (lanes run on competing
 # threads), the realtime-driver suite (wall-clock pacing + stop flag cross
 # threads) and the 32-cell sweep smoke must produce zero reports.
 tsan_step() {
@@ -444,7 +444,9 @@ EOF
 # cell (bench/bench_throughput.cpp) must run end-to-end, keep both queue
 # impls on identical trajectories (the binary exits non-zero otherwise) and
 # emit an artifact with the pinned schema — same keys and types as the
-# full-size BENCH_throughput.json at the repo root.
+# full-size BENCH_throughput.json at the repo root. The cell runs a second
+# time with one lane thread: every sharded row, multi-lane ones included,
+# must count the same trajectory as with the default thread count.
 bench_smoke() {
   echo "==== [bench] shrunken throughput cell + artifact schema ===="
   local dir out
@@ -452,7 +454,9 @@ bench_smoke() {
   out="${dir}/BENCH_throughput.json"
   "${prefix}/bench/bench_throughput" --apps 24 --machines 12 --duration 90 \
       --events 150000 --out "${out}" --report-out "${dir}/report.html"
-  python3 - "${out}" "${dir}/report.html" <<'EOF'
+  "${prefix}/bench/bench_throughput" --apps 24 --machines 12 --duration 90 \
+      --events 150000 --lane-threads 1 --out "${dir}/serial_lanes.json"
+  python3 - "${out}" "${dir}/report.html" "${dir}/serial_lanes.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 
@@ -504,13 +508,20 @@ for r in rows:
         require(r, k, num, "sharded.lanes[]")
 assert rows[0]["events_fired"] == det["events_fired"], \
     "lanes=1 diverged from the monolithic trajectory"
+counts = ("events_scheduled", "events_fired", "events_cancelled", "requests_completed")
+serial = json.load(open(sys.argv[3]))["sharded"]["lanes"]
+assert [r["lanes"] for r in serial] == [r["lanes"] for r in rows], "serial lane axis wrong"
+for r, s in zip(rows, serial):
+    for k in counts:
+        assert s[k] == r[k], \
+            f"lanes={r['lanes']}: {k} {s[k]} with 1 lane thread, {r[k]} with the default"
 require(doc, "e2e_speedup", num, "$")
 require(doc, "peak_rss_mb", num, "$")
 
 # Self-profiler section: the root scope brackets each measured cell, so the
 # exclusive times must cover >= 90% of the measured wall time (monolithic
 # cells hit exactly 1.0; sharded cells may exceed it — lane wall time on
-# worker threads overlaps the coordinator's barrier wait).
+# worker threads overlaps the coordinator's wait for the lanes).
 pr = require(doc, "profile", dict, "$")
 assert require(pr, "coverage", num, "profile") >= 0.9, \
     f"profile coverage {pr['coverage']} < 0.9"
@@ -533,7 +544,8 @@ payload = json.loads(html[a:b].replace("<\\/", "</"))
 assert len(payload["cells"]) == 2 + len(shp), "bench report cell count wrong"
 assert all("profile" in c for c in payload["cells"]), "report cell lacks profile"
 
-print(f"[bench] schema OK; micro speedup {micro['speedup']:.2f}x,"
+print(f"[bench] schema OK; sharded counts equal at 1 and default lane threads;"
+      f" micro speedup {micro['speedup']:.2f}x,"
       f" e2e {doc['e2e_speedup']:.2f}x,"
       f" {det['events_fired']} events fired,"
       f" profile coverage {pr['coverage']:.3f}")
