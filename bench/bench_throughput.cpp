@@ -236,10 +236,10 @@ EndToEnd run_cell(sim::Engine::QueueImpl impl, const CellConfig& cc,
 
 /// The same cell through ShardedPlatform: apps hash-partitioned into lanes,
 /// arrivals injected one window at a time instead of scheduled upfront. With
-/// one lane this is the monolithic simulation with a bounded live event set;
-/// with more lanes the fleet is partitioned too.
-EndToEnd run_sharded(int lanes, int lane_threads, const CellConfig& cc,
-                     const std::vector<workload::Trace>& traces) {
+/// one lane this is the baseline cell's trajectory with a bounded live event
+/// set; with more lanes the fleet is partitioned too.
+EndToEnd run_lanes(int lanes, int lane_threads, const CellConfig& cc,
+                   const std::vector<workload::Trace>& traces) {
   const double t0 = now_seconds();
 
   prof::Profiler profiler;
@@ -402,7 +402,7 @@ int main(int argc, char** argv) {
   std::vector<EndToEnd> sharded;
   for (const int lanes : lane_counts) {
     sharded.push_back(run_isolated<EndToEnd>(
-        [&] { return run_sharded(lanes, lane_threads, cc, traces); }));
+        [&] { return run_lanes(lanes, lane_threads, cc, traces); }));
     std::fprintf(stderr, "bench_throughput: [sharded lanes=%d] %.2fs, %.0f events/s\n",
                  lanes, sharded.back().wall_seconds, sharded.back().events_per_sec);
   }

@@ -8,14 +8,10 @@
 #include "baselines/grandslam.hpp"
 #include "baselines/icebreaker.hpp"
 #include "baselines/orion.hpp"
-#include "cluster/cluster.hpp"
 #include "core/smiless_policy.hpp"
 #include "obs/telemetry.hpp"
-#include "rt/replayer.hpp"
 #include "serverless/sharding.hpp"
-#include "sim/driver.hpp"
 #include "sim/engine.hpp"
-#include "workload/arrival_cursor.hpp"
 
 namespace smiless::baselines {
 
@@ -57,6 +53,7 @@ void fill_result(RunResult& r, const serverless::AppMetrics& m, double sla) {
   r.cpu_core_seconds = m.total_cpu_seconds();
   r.gpu_pct_seconds = m.total_gpu_seconds();
   r.windows = m.windows;
+  r.traces = m.traces;
   r.e2e.reserve(m.completed.size());
   for (const auto& rec : m.completed) r.e2e.push_back(rec.e2e());
   long violations = 0;
@@ -69,23 +66,22 @@ void fill_result(RunResult& r, const serverless::AppMetrics& m, double sla) {
 }
 
 /// Opt-in (ExperimentOptions::internal_stats) mirror of the calendar
-/// queue's internals. These are *not* path-neutral: the monolithic run
-/// schedules the whole trace upfront while the sharded run streams
-/// arrivals per window, so resizes/buckets/peak_live legitimately differ
-/// between bit-identical trajectories — which is exactly why they are off
-/// by default and excluded from the path-agnostic mirror below.
-void mirror_internal(obs::Telemetry& tel, const sim::CalendarStats* cs) {
-  if (cs == nullptr) return;  // BinaryHeap reference queue has no calendar
+/// queue's internals, summed over lanes. These depend on how the apps are
+/// spread over lanes — a single-app cell's queue holds one lane's events at
+/// any `lanes`, a multi-app cell's is split — so resizes/buckets/peak_live
+/// differ between bit-identical trajectories, which is exactly why they
+/// are off by default and kept out of the mirror below.
+void mirror_internal(obs::Telemetry& tel, const sim::CalendarStats& cs) {
   auto& reg = tel.registry();
-  reg.count("engine/calendar/resizes", cs->resizes);
-  reg.count("engine/calendar/direct_searches", cs->direct_searches);
-  reg.gauge("engine/calendar/buckets", static_cast<double>(cs->buckets));
-  reg.gauge("engine/calendar/peak_live", static_cast<double>(cs->peak_live));
+  reg.count("engine/calendar/resizes", cs.resizes);
+  reg.count("engine/calendar/direct_searches", cs.direct_searches);
+  reg.gauge("engine/calendar/buckets", static_cast<double>(cs.buckets));
+  reg.gauge("engine/calendar/peak_live", static_cast<double>(cs.peak_live));
 }
 
-/// Mirror the run's global books into the telemetry registry — identical
-/// keys for the monolithic and sharded paths, so artifacts don't reveal
-/// which one produced them.
+/// Mirror the run's global books into the telemetry registry — the same
+/// keys at any lane count, so artifacts don't reveal how the cell was
+/// split.
 void mirror_registry(obs::Telemetry& tel, const sim::EngineStats& es,
                      const faults::FaultStats& fs, const std::vector<RunResult>& results) {
   auto& reg = tel.registry();
@@ -117,8 +113,6 @@ void mirror_registry(obs::Telemetry& tel, const sim::EngineStats& es,
 RunResult run_experiment(const apps::App& app, const workload::Trace& trace,
                          std::shared_ptr<serverless::Policy> policy,
                          const ExperimentOptions& options) {
-  // A single-app run is the one-element co-located deployment: same engine,
-  // RNG and injector construction order, so the trajectories are identical.
   std::vector<ColocatedApp> deployment;
   deployment.push_back({app, &trace, std::move(policy)});
   return run_colocated(std::move(deployment), options).front();
@@ -127,89 +121,11 @@ RunResult run_experiment(const apps::App& app, const workload::Trace& trace,
 std::vector<RunResult> run_colocated(std::vector<ColocatedApp> apps,
                                      const ExperimentOptions& options) {
   SMILESS_CHECK(!apps.empty());
-  if (options.lanes > 1) {
-    SMILESS_CHECK_MSG(options.driver == nullptr,
-                      "driver seam requires lanes == 1 (got " << options.lanes << ")");
-    return run_sharded(std::move(apps), options);
-  }
-  obs::Telemetry* tel = options.telemetry;
-  if (tel != nullptr && options.series_cadence > 0.0)
-    tel->enable_series(options.series_cadence);
-  sim::Engine engine;
-  engine.set_profiler(options.profiler);
-  cluster::Cluster cluster = cluster::Cluster::paper_testbed();
-  Rng rng(options.seed);
-  faults::FaultInjector injector(options.faults, rng);
-  serverless::PlatformOptions popt = options.platform;
-  if (injector.enabled()) popt.faults = &injector;
-  if (tel != nullptr) popt.bus = &tel->bus();
-  popt.prof = options.profiler;
-  serverless::Platform platform(engine, cluster, perf::Pricing{}, rng, popt);
-  injector.set_bus(tel != nullptr ? &tel->bus() : nullptr);
-  injector.arm(engine, cluster);
-
-  std::vector<RunResult> out(apps.size());
-  std::vector<serverless::AppId> ids(apps.size());
-  double horizon = 0.0;
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    auto& ca = apps[i];
-    SMILESS_CHECK(ca.trace != nullptr && ca.policy != nullptr);
-    out[i].policy = ca.policy->name();
-    out[i].app = ca.app.name;
-    if (tel != nullptr) {
-      std::vector<std::string> node_names;
-      node_names.reserve(ca.app.dag.size());
-      for (std::size_t n = 0; n < ca.app.dag.size(); ++n)
-        node_names.push_back(ca.app.dag.name(static_cast<dag::NodeId>(n)));
-      tel->register_app(static_cast<int>(i), ca.app.name, std::move(node_names),
-                        ca.app.sla);
-    }
-    ids[i] = platform.deploy(ca.app, ca.policy);
-    if (options.driver == nullptr) {
-      // Classic upfront scheduling, per-app interleaved with deploy — the
-      // order every golden was pinned under. drain_all preserves it.
-      workload::ArrivalCursor(&ca.trace->arrivals)
-          .drain_all([&](SimTime t) { platform.submit_request(ids[i], t); });
-    }
-    horizon = std::max(horizon,
-                       static_cast<double>(ca.trace->counts.size()) * ca.trace->window);
-  }
-  const double end = horizon + options.drain_slack;
-  if (options.driver == nullptr) {
-    // Arrivals are already in the queue; the DES driver with a null source
-    // is exactly the pre-seam engine.run_until(end).
-    sim::DesDriver des;
-    des.drive(engine, nullptr, end);
-  } else {
-    // Live-serving mode: the replayer streams each app's trace through the
-    // same Gateway intake, no earlier than each arrival's due time; the
-    // driver paces the pump (DESIGN.md §16).
-    rt::TraceReplayer replayer(
-        [&](std::size_t slot, SimTime t) { platform.submit_request(ids[slot], t); });
-    for (const auto& ca : apps) replayer.add_stream(&ca.trace->arrivals);
-    options.driver->drive(engine, &replayer, end);
-  }
-  platform.finalize(end);
-  if (tel != nullptr) tel->finalize_series(end);
-
-  for (std::size_t i = 0; i < apps.size(); ++i)
-    fill_result(out[i], platform.metrics(ids[i]), apps[i].app.sla);
-
-  if (tel != nullptr) {
-    mirror_registry(*tel, engine.stats(), injector.stats(), out);
-    if (options.internal_stats) mirror_internal(*tel, engine.calendar_stats());
-  }
-  return out;
-}
-
-std::vector<RunResult> run_sharded(std::vector<ColocatedApp> apps,
-                                   const ExperimentOptions& options) {
-  SMILESS_CHECK(!apps.empty());
   serverless::ShardOptions sopt;
-  sopt.lanes = std::max(1, options.lanes);
+  sopt.lanes = options.lanes;
   sopt.lane_threads = options.lane_threads;
   sopt.seed = options.seed;
-  sopt.machines = 8;  // the paper's testbed, as in run_colocated
+  sopt.machines = 8;  // the paper's testbed
   sopt.platform = options.platform;
   sopt.faults = options.faults;
   sopt.telemetry = options.telemetry;
@@ -232,7 +148,7 @@ std::vector<RunResult> run_sharded(std::vector<ColocatedApp> apps,
     sharded.add_app(std::move(ca.app), std::move(ca.policy), ca.trace->arrivals);
   }
   const double end = horizon + options.drain_slack;
-  sharded.run(end);
+  sharded.run(end, options.clock);
   if (options.telemetry != nullptr) options.telemetry->finalize_series(end);
 
   for (std::size_t i = 0; i < apps.size(); ++i)
@@ -240,10 +156,7 @@ std::vector<RunResult> run_sharded(std::vector<ColocatedApp> apps,
 
   if (options.telemetry != nullptr) {
     mirror_registry(*options.telemetry, sharded.engine_stats(), sharded.fault_stats(), out);
-    if (options.internal_stats) {
-      const sim::CalendarStats cs = sharded.calendar_stats();
-      mirror_internal(*options.telemetry, &cs);
-    }
+    if (options.internal_stats) mirror_internal(*options.telemetry, sharded.calendar_stats());
   }
   return out;
 }

@@ -19,7 +19,7 @@ class Telemetry;
 }  // namespace smiless::obs
 
 namespace smiless::sim {
-class Driver;
+class Clock;
 }  // namespace smiless::sim
 
 namespace smiless::baselines {
@@ -48,10 +48,10 @@ struct ExperimentOptions {
   std::uint64_t seed = 42;
   double drain_slack = 120.0;  ///< extra sim time to drain in-flight requests
 
-  /// Intra-cell sharding (DESIGN.md §14). 1 runs the classic monolithic
-  /// simulation; > 1 hash-partitions the apps into that many deterministic
-  /// lanes (run_colocated then delegates to run_sharded). Output is
-  /// bit-identical at any lane_threads; a single-app deployment is
+  /// Intra-cell sharding (DESIGN.md §14): the apps are hash-partitioned
+  /// into this many deterministic lanes (>= 1), each a private world over a
+  /// slice of the testbed. Output is bit-identical at any lane_threads; a
+  /// deployment whose apps all land in one lane (any single-app run) is
   /// invariant in lanes.
   int lanes = 1;
   /// Threads running the lanes, each lane to the horizon on one thread
@@ -84,22 +84,18 @@ struct ExperimentOptions {
   /// byte-stable at any threads/lane_threads/lanes setting.
   double series_cadence = 0.0;
 
-  /// Optional driver seam (non-owning; must outlive the run; DESIGN.md
-  /// §16). Null pumps the classic way: every arrival scheduled upfront,
-  /// engine free-run to the horizon — byte-identical to the pre-seam path.
-  /// Non-null hands the pump to the driver and feeds arrivals through a
-  /// streaming WorkSource (rt::TraceReplayer over the same traces), so a
-  /// pacing driver sees each arrival no earlier than its due time — the
-  /// live-serving mode. Requires lanes == 1 (pacing lanes that each run
-  /// on their own clock is a different problem).
-  sim::Driver* driver = nullptr;
+  /// Optional pacing clock (non-owning; must outlive the run; DESIGN.md
+  /// §16). Null runs the cell as a discrete-event simulation. Non-null
+  /// waits for each simulated instant on the clock before firing it — the
+  /// live-serving mode — with a trajectory identical to the null run; it
+  /// needs every app in one lane (see ShardedPlatform::run).
+  sim::Clock* clock = nullptr;
 
   /// Export internal queue diagnostics (CalendarStats, engine counters
   /// already mirrored) into the telemetry metric registry. Off by default
-  /// because calendar internals legitimately differ between the monolithic
-  /// (upfront-scheduling) and sharded (streaming-injection) paths even when
-  /// trajectories are bit-identical — opting in makes --metrics-out
-  /// path-revealing.
+  /// because calendar internals depend on how the apps are spread over
+  /// lanes even when trajectories are bit-identical — opting in makes
+  /// --metrics-out lane-revealing.
   bool internal_stats = false;
 };
 
@@ -122,6 +118,9 @@ struct RunResult {
   double cpu_core_seconds = 0.0;
   double gpu_pct_seconds = 0.0;
   std::vector<serverless::WindowSample> windows;
+  /// Per-request traces of the completed requests, in completion order;
+  /// empty unless PlatformOptions::record_traces was set.
+  std::vector<serverless::RequestTrace> traces;
 
   /// Fraction of submitted requests that completed.
   double goodput() const {
@@ -144,20 +143,11 @@ struct ColocatedApp {
 
 /// The paper's actual setup (§VII-A): every application runs on the *same*
 /// 8-machine cluster with its own load generator, all simultaneously, so
-/// the policies contend for CPU cores and GPU slices. Returns one
-/// RunResult per application, in input order.
+/// the policies contend for CPU cores and GPU slices. The apps are spread
+/// over `options.lanes` lanes of one serverless::ShardedPlatform, the only
+/// cell runner. Returns one RunResult per application, in input order.
 std::vector<RunResult> run_colocated(std::vector<ColocatedApp> apps,
                                      const ExperimentOptions& options);
-
-/// The sharded flavor of run_colocated: apps are hash-partitioned into
-/// `options.lanes` deterministic lanes, each a full private world over a
-/// slice of the 8-machine testbed, each lane run to the horizon on its own
-/// (see serverless::ShardedPlatform). With `options.lanes == 1` — or any cell
-/// whose apps land in a single lane — this reproduces run_colocated's
-/// trajectory exactly. run_colocated calls this itself when lanes > 1;
-/// calling it directly is for tests and the throughput bench.
-std::vector<RunResult> run_sharded(std::vector<ColocatedApp> apps,
-                                   const ExperimentOptions& options);
 
 /// The policy zoo of the evaluation section.
 enum class PolicyKind {

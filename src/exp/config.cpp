@@ -1,6 +1,7 @@
 #include "exp/config.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,6 +13,17 @@
 #include "workload/trace_io.hpp"
 
 namespace smiless::exp {
+
+namespace {
+
+/// A lane count read from config input: an integer >= 1.
+int lane_count(long long v) {
+  if (v < 1 || v > std::numeric_limits<int>::max())
+    throw std::runtime_error("lanes must be >= 1, got " + std::to_string(v));
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 json::Value TraceSpec::to_json() const {
   json::Value v = json::Value::object();
@@ -101,7 +113,7 @@ ExperimentConfig ExperimentConfig::from_json(const json::Value& v) {
   c.profile_seed =
       static_cast<std::uint64_t>(v.get("profile_seed", static_cast<long long>(c.profile_seed)));
   c.drain_slack = v.get("drain_slack", c.drain_slack);
-  c.lanes = static_cast<int>(v.get("lanes", static_cast<long long>(c.lanes)));
+  c.lanes = lane_count(v.get("lanes", static_cast<long long>(c.lanes)));
   if (const json::Value* t = v.find("trace")) c.trace = TraceSpec::from_json(*t);
   if (const json::Value* p = v.find("platform"))
     c.platform = serverless::platform_options_from_json(*p);
@@ -273,7 +285,7 @@ ExperimentGrid ExperimentGrid::from_json(const json::Value& v) {
     for (const auto& x : a->items())
       g.seeds.push_back(static_cast<std::uint64_t>(x.as_int()));
   if (const json::Value* a = axes->find("lanes"))
-    for (const auto& x : a->items()) g.lanes.push_back(static_cast<int>(x.as_int()));
+    for (const auto& x : a->items()) g.lanes.push_back(lane_count(x.as_int()));
   return g;
 }
 

@@ -66,9 +66,9 @@ struct ObservabilityOptions {
   double series_cadence = 1.0;
 
   /// Mirror internal queue diagnostics (CalendarStats) into metrics_out.
-  /// Off by default: those counters legitimately differ between the
-  /// monolithic and sharded execution paths even when the trajectories are
-  /// bit-identical, so turning this on makes metrics path-revealing.
+  /// Off by default: those counters depend on how the apps are spread over
+  /// lanes even when the trajectories are bit-identical, so turning this on
+  /// makes metrics lane-revealing.
   bool internal_stats = false;
 
   /// True when any collector needs a Telemetry attached to the run.
@@ -99,10 +99,10 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;       ///< run RNG (platform noise, faults fork off it)
   std::uint64_t profile_seed = 2024;  ///< offline-profiler sampling RNG
   double drain_slack = 120.0;    ///< extra sim time to drain in-flight requests
-  /// Intra-cell sharding degree (DESIGN.md §14): 1 = classic monolithic
-  /// simulation, > 1 = that many deterministic lanes. Part of the cell's
-  /// identity (serialized, swept); the lane *thread* count is a runner
-  /// option because it never changes results.
+  /// Intra-cell sharding degree (DESIGN.md §14): the number of
+  /// deterministic lanes, >= 1 (from_json and ExperimentGrid reject less).
+  /// Part of the cell's identity (serialized, swept); the lane *thread*
+  /// count is a runner option because it never changes results.
   int lanes = 1;
   TraceSpec trace;
   serverless::PlatformOptions platform;

@@ -26,19 +26,15 @@ const baselines::ProfileStore& Runner::profiles(std::uint64_t profile_seed) {
   return *it->second;
 }
 
-CellResult Runner::run_cell(const ExperimentConfig& config,
-                            const baselines::ProfileStore& store,
-                            std::shared_ptr<ThreadPool> policy_pool, int lane_threads,
-                            bool force_profile) {
+CellResult execute_cell(const ExperimentConfig& config, const baselines::ProfileStore& store,
+                        std::shared_ptr<ThreadPool> policy_pool, int lane_threads,
+                        std::shared_ptr<obs::Telemetry> telemetry,
+                        std::shared_ptr<prof::Profiler> profile, sim::Clock* clock) {
   // detlint:allow(wall-clock) cell wall-time goes to progress stderr only, never into artifacts
   const auto t0 = std::chrono::steady_clock::now();
 
   const apps::App app = resolve_app(config);
   const workload::Trace trace = build_trace(config, app);
-  std::shared_ptr<obs::Telemetry> telemetry;
-  if (config.obs.collect()) telemetry = std::make_shared<obs::Telemetry>();
-  std::shared_ptr<prof::Profiler> profile;
-  if (force_profile || config.obs.profile()) profile = std::make_shared<prof::Profiler>();
 
   std::shared_ptr<serverless::Policy> policy;
   if (config.policy_override) {
@@ -49,7 +45,7 @@ CellResult Runner::run_cell(const ExperimentConfig& config,
     if (!kind) throw std::runtime_error("unknown policy '" + config.policy + "'");
     baselines::PolicySettings settings;
     settings.use_lstm = config.use_lstm;
-    settings.pool = policy_pool;
+    settings.pool = std::move(policy_pool);
     settings.oracle_trace = &trace;  // only OPT reads it
     settings.audit = telemetry != nullptr ? &telemetry->audit() : nullptr;
     policy = baselines::make_policy(*kind, app, store, settings);
@@ -67,19 +63,32 @@ CellResult Runner::run_cell(const ExperimentConfig& config,
   options.internal_stats = config.obs.internal_stats;
   if (!config.obs.series_out.empty() || !config.obs.report_out.empty())
     options.series_cadence = config.obs.series_cadence;
+  options.clock = clock;
 
   CellResult out;
   out.config = config;
-  out.telemetry = telemetry;
-  out.profile = profile;
+  out.telemetry = std::move(telemetry);
+  out.profile = std::move(profile);
   {
     // Root scope: brackets the whole cell so site exclusive times sum to it.
-    prof::ScopeTimer cell_scope(profile.get(), prof::Site::CellRun);
+    prof::ScopeTimer cell_scope(out.profile.get(), prof::Site::CellRun);
     out.result = baselines::run_experiment(app, trace, std::move(policy), options);
   }
   out.wall_seconds =  // detlint:allow(wall-clock) same quarantine: progress display only
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return out;
+}
+
+CellResult Runner::run_cell(const ExperimentConfig& config,
+                            const baselines::ProfileStore& store,
+                            std::shared_ptr<ThreadPool> policy_pool, int lane_threads,
+                            bool force_profile) {
+  std::shared_ptr<obs::Telemetry> telemetry;
+  if (config.obs.collect()) telemetry = std::make_shared<obs::Telemetry>();
+  std::shared_ptr<prof::Profiler> profile;
+  if (force_profile || config.obs.profile()) profile = std::make_shared<prof::Profiler>();
+  return execute_cell(config, store, std::move(policy_pool), lane_threads, std::move(telemetry),
+                      std::move(profile), nullptr);
 }
 
 std::vector<CellResult> Runner::run(const std::vector<ExperimentConfig>& cells) {

@@ -98,4 +98,17 @@ class Runner {
   std::map<std::uint64_t, std::unique_ptr<baselines::ProfileStore>> stores_;
 };
 
+/// The one place a cell is built and run, shared by Runner::run_cell and
+/// exp::serve, which differ only in the collectors and clock they pass:
+/// resolves the app and trace, builds the policy (config.policy_override,
+/// else the named kind, with `telemetry`'s audit log attached) and the run
+/// options, then runs the cell under a Site::CellRun root scope on
+/// `profile`. `telemetry`, `profile` and `clock` may be null; a null clock
+/// runs the cell as a discrete-event simulation. Throws std::runtime_error
+/// for an unknown app or policy.
+CellResult execute_cell(const ExperimentConfig& config, const baselines::ProfileStore& store,
+                        std::shared_ptr<ThreadPool> policy_pool, int lane_threads,
+                        std::shared_ptr<obs::Telemetry> telemetry,
+                        std::shared_ptr<prof::Profiler> profile, sim::Clock* clock);
+
 }  // namespace smiless::exp

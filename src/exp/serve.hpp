@@ -9,7 +9,7 @@
 
 namespace smiless::exp {
 
-/// Knobs of one live-serving run (`smiless serve`). These are *driver-side*
+/// Knobs of one live-serving run (`smiless serve`). These are *pacing-side*
 /// settings only — everything that defines the experiment itself (app,
 /// policy, trace, faults, seeds) stays in the unchanged ExperimentConfig,
 /// so any existing config file serves as-is.
@@ -32,24 +32,21 @@ struct ServeOptions {
 struct ServeReport {
   CellResult cell;
   double speedup = 1.0;
-  double wall_seconds = 0.0;     ///< wall time spent driving
+  double wall_seconds = 0.0;     ///< wall time spent serving
   double max_lag_seconds = 0.0;  ///< worst deadline lateness observed
-  std::uint64_t batches = 0;     ///< distinct sim instants pumped
-  std::uint64_t injected = 0;    ///< arrivals streamed through the Gateway
+  std::uint64_t batches = 0;     ///< distinct sim instants paced
   std::uint64_t stream_lines = 0;  ///< NDJSON lines written (0 if no stream)
-  bool interrupted = false;      ///< clock stopped the drive early
+  bool interrupted = false;      ///< the clock stopped the run early
 };
 
-/// Run one cell in live-serving mode (DESIGN.md §16): the same experiment
-/// materialization as Runner::run_cell — same app/trace/policy/telemetry
-/// construction for the same config — but the pump is an rt::RealTimeDriver
-/// pacing the engine against the wall clock while an rt::TraceReplayer
-/// streams the trace through the Gateway intake. By the Clock contract the
-/// books in `cell.result` match the DES run of the same config (the CI
-/// serve smoke diffs the two summary tables).
+/// Run one cell in live-serving mode (DESIGN.md §16): execute_cell, as
+/// Runner::run_cell uses it, with an rt::WallClock pacing the cell's lane
+/// loop so each simulated instant fires no earlier than its wall deadline.
+/// By the Clock contract the books in `cell.result` match the DES run of
+/// the same config (the CI serve smoke diffs the two summary tables).
 ///
-/// Throws std::runtime_error for configs serve cannot drive (lanes != 1) or
-/// that run_cell would reject (unknown app/policy).
+/// Throws std::runtime_error for configs serve does not pace (lanes != 1)
+/// or that run_cell would reject (unknown app/policy).
 ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore& store,
                   std::shared_ptr<ThreadPool> policy_pool, const ServeOptions& options);
 

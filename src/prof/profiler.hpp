@@ -23,11 +23,14 @@
 /// that is the ">= 90% of measured wall time" bench invariant, by
 /// construction rather than by luck.
 ///
-/// A Profiler is deliberately NOT thread-safe: each sharded lane owns a
-/// private Profiler and the coordinator merges them once every lane has
-/// finished (merge() keeps a per-lane breakdown). Everything is zero-overhead when
-/// the `prof::Profiler*` hanging off PlatformOptions / RunnerOptions is
-/// null: ScopeTimer degenerates to a single pointer test.
+/// A Profiler is deliberately NOT thread-safe: each lane owns a private
+/// Profiler and the coordinator merges them once every lane has finished
+/// (merge() keeps a per-lane breakdown). Lanes run on the coordinator's own
+/// thread nest their profilers in the coordinator's (nest_in), so the
+/// equality above holds for them too; lanes on worker threads overlap the
+/// coordinator's wait and push the sum past the root. Everything is
+/// zero-overhead when the `prof::Profiler*` hanging off PlatformOptions /
+/// RunnerOptions is null: ScopeTimer degenerates to a single pointer test.
 ///
 /// The profiler also surfaces the simulator's dark internal stats
 /// (CalendarStats, Slab/Recycler occupancy, EngineStats) as *sampled
@@ -144,8 +147,20 @@ class Profiler {
     ++a.count;
     a.inclusive_ns += dt;
     a.exclusive_ns += dt >= f.child_ns ? dt - f.child_ns : 0;
-    if (depth_ > 0) frames_[depth_ - 1].child_ns += dt;
+    if (depth_ > 0) {
+      frames_[depth_ - 1].child_ns += dt;
+    } else if (outer_ != nullptr && outer_->depth_ > 0) {
+      outer_->frames_[outer_->depth_ - 1].child_ns += dt;
+    }
   }
+
+  /// Nest this profiler inside `outer`, which must be driven from the same
+  /// thread: each of this profiler's outermost scopes is then charged as
+  /// child time to `outer`'s innermost open scope. A lane run on the
+  /// coordinator's thread nests its private profiler this way, so once the
+  /// two merge its time is counted once and Σ exclusive still equals the
+  /// root. Null (the default) nests nowhere.
+  void nest_in(Profiler* outer) { outer_ = outer; }
 
   /// Record one deterministic (sim_t, value) counter observation.
   void sample(double sim_t, Counter c, double value) {
@@ -194,6 +209,7 @@ class Profiler {
   static constexpr std::size_t kMaxDepth = 64;
 
   int lane_ = -1;
+  Profiler* outer_ = nullptr;  ///< see nest_in(); not owned
   std::array<Frame, kMaxDepth> frames_{};
   std::size_t depth_ = 0;
   std::array<SiteAgg, kSiteCount> sites_{};

@@ -36,7 +36,7 @@ class WallClock final : public sim::Clock {
   bool wait_until(SimTime t) override;
 
   /// Ask the clock to abandon pacing; the current/next wait_until returns
-  /// false and the driver stops. Safe to call from another thread or a
+  /// false and the paced run stops. Safe to call from another thread or a
   /// signal-adjacent context.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }

@@ -10,14 +10,15 @@
 #include "obs/merge.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/profiler.hpp"
+#include "sim/clock.hpp"
 #include "workload/arrival_cursor.hpp"
 
 namespace smiless::serverless {
 
-/// One lane's private world. Member order is construction order and mirrors
-/// the monolithic run: Engine, Cluster, Rng, FaultInjector (which forks its
-/// child stream off the lane Rng iff any fault knob is set), then Platform —
-/// so a lone populated lane consumes its RNG exactly like the unsharded run.
+/// One lane's private world. Member order is construction order: Engine,
+/// Cluster, Rng, FaultInjector (which forks its child stream off the lane
+/// Rng iff any fault knob is set), then Platform — the order every golden
+/// was pinned under.
 struct ShardedPlatform::Lane {
   int id;
   sim::Engine engine;
@@ -25,7 +26,8 @@ struct ShardedPlatform::Lane {
   int machine_base;
   Rng rng;
   faults::FaultInjector injector;
-  std::unique_ptr<obs::Telemetry> telemetry;
+  std::unique_ptr<obs::Telemetry> own_telemetry;  ///< private bundle, merged after the run
+  obs::Telemetry* telemetry = nullptr;  ///< where the lane publishes (own or the caller's)
   std::unique_ptr<prof::Profiler> prof;  ///< private: profilers are not thread-safe
   std::unique_ptr<Platform> platform;
   std::vector<int> app_map;                  ///< lane-local app id -> global
@@ -84,6 +86,23 @@ void ShardedPlatform::build_lanes() {
                     "more populated lanes (" << populated.size() << ") than machines ("
                                              << options_.machines << ")");
 
+  // Lanes get a private pool: they must never share the policies' solver
+  // pool (a policy blocking on its own pool's futures from a lane thread
+  // could deadlock it). A pool with one effective worker (e.g.
+  // lane_threads=0 on a single-core host) is pure dispatch overhead, so
+  // those cases run the lanes on the calling thread — the results are
+  // identical either way, per the lane_threads invariance contract.
+  if (options_.lane_threads != 1 && populated.size() > 1) {
+    const std::size_t want =
+        options_.lane_threads == 0
+            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+            : static_cast<std::size_t>(options_.lane_threads);
+    workers_ = std::min(want, populated.size());
+  }
+  // A lone lane needs no merge: its app map is the identity and its machine
+  // base is 0, so it publishes straight into the caller's bundle.
+  const bool lone = populated.size() == 1;
+
   const std::size_t base_machines = options_.machines / populated.size();
   const std::size_t extra = options_.machines % populated.size();
   int machine_base = 0;
@@ -95,7 +114,7 @@ void ShardedPlatform::build_lanes() {
 
     // Lane seed: decorrelate lanes by their first member's global index.
     // Mixing with index 0 is the identity, so a lone populated lane (every
-    // single-app cell, and every K=1 run) replays the monolithic stream.
+    // single-app cell, and every K=1 run) draws from the cell seed itself.
     const std::uint64_t lane_seed =
         options_.seed ^
         (static_cast<std::uint64_t>(mine.front()) * 0x9E3779B97F4A7C15ull);
@@ -111,9 +130,15 @@ void ShardedPlatform::build_lanes() {
 
     auto lane = std::make_unique<Lane>(lane_id, n, options_.machine_spec, machine_base,
                                        lane_seed, std::move(fspec));
-    if (options_.telemetry != nullptr) lane->telemetry = std::make_unique<obs::Telemetry>();
+    if (options_.telemetry != nullptr && !lone) {
+      lane->own_telemetry = std::make_unique<obs::Telemetry>();
+      lane->telemetry = lane->own_telemetry.get();
+    } else {
+      lane->telemetry = options_.telemetry;
+    }
     if (options_.prof != nullptr) {
       lane->prof = std::make_unique<prof::Profiler>(lane_id);
+      if (workers_ == 1) lane->prof->nest_in(options_.prof);
       lane->engine.set_profiler(lane->prof.get());
     }
     PlatformOptions popt = options_.platform;
@@ -132,7 +157,7 @@ void ShardedPlatform::build_lanes() {
   }
 
   // Deploy in global order so a lane's deploy sequence is the subsequence
-  // the monolithic run would have produced.
+  // of the cell's deploy order that landed in it.
   for (std::size_t g = 0; g < pending_.size(); ++g) {
     PendingApp& pa = pending_[g];
     Lane& lane = *lanes_[static_cast<std::size_t>(refs_[g].lane_index)];
@@ -141,13 +166,15 @@ void ShardedPlatform::build_lanes() {
       node_names.reserve(pa.app.dag.size());
       for (std::size_t nd = 0; nd < pa.app.dag.size(); ++nd)
         node_names.push_back(pa.app.dag.name(static_cast<dag::NodeId>(nd)));
-      lane.telemetry->register_app(static_cast<int>(lane.app_map.size()), pa.app.name,
-                                   node_names, pa.app.sla);
+      if (lane.own_telemetry != nullptr)
+        lane.telemetry->register_app(static_cast<int>(lane.app_map.size()), pa.app.name,
+                                     node_names, pa.app.sla);
       options_.telemetry->register_app(static_cast<int>(g), pa.app.name,
                                        std::move(node_names), pa.app.sla);
     }
-    // Decision records go to the lane's private audit log (merged after the
-    // run); a caller-attached log would be written from several lane threads.
+    // Decision records go to the audit log of the bundle the lane publishes
+    // to; with several lanes that is a private one, merged after the run,
+    // since a caller-attached log would be written from several threads.
     pa.policy->set_audit_log(lane.telemetry != nullptr ? &lane.telemetry->audit() : nullptr);
     const AppId id = lane.platform->deploy(std::move(pa.app), std::move(pa.policy));
     refs_[g].local = id;
@@ -162,15 +189,16 @@ void ShardedPlatform::build_lanes() {
     for (const auto& arr : lane->arrivals) lane->cursors.emplace_back(&arr);
 }
 
-void ShardedPlatform::run_lane(Lane& lane, SimTime end) const {
+void ShardedPlatform::run_lane(Lane& lane, SimTime end, sim::Clock* clock) const {
   const double w = options_.platform.window_seconds;
+  if (clock != nullptr) clock->start(lane.engine.now());
   for (double t = 0.0; t < end;) {
     const double step_end = std::min(end, t + w);
     prof::ScopeTimer lane_scope(lane.prof.get(), prof::Site::LaneStep);
     // Arrivals stream in through the shared ArrivalCursor: those strictly
     // before the window's end, and every remaining one (even past `end`) in
-    // the final window, so the scheduled-event tally matches the monolithic
-    // run, which schedules the whole trace upfront.
+    // the final window — the tail flush, so the scheduled-event tally
+    // counts the whole trace.
     const bool flush = step_end >= end;
     for (std::size_t a = 0; a < lane.cursors.size(); ++a) {
       const auto submit = [&](SimTime at) { lane.platform->submit_request(lane.ids[a], at); };
@@ -180,33 +208,29 @@ void ShardedPlatform::run_lane(Lane& lane, SimTime end) const {
         lane.cursors[a].drain_before(step_end, submit);
       }
     }
+    if (clock != nullptr) {
+      // Paced: fire the window one instant at a time, each once the clock
+      // allows it. The clock only delays, so the trajectory is the one a
+      // single run_until(step_end) produces.
+      for (SimTime next = lane.engine.next_time(); next <= step_end;
+           next = lane.engine.next_time()) {
+        if (!clock->wait_until(next)) return;
+        lane.engine.run_until(next);
+      }
+    }
     lane.engine.run_until(step_end);
     t = step_end;
   }
 }
 
-void ShardedPlatform::run(SimTime end) {
+void ShardedPlatform::run(SimTime end, sim::Clock* clock) {
   SMILESS_CHECK_MSG(!ran_, "ShardedPlatform::run is one-shot");
   ran_ = true;
   SMILESS_CHECK(end > 0.0);
   SMILESS_CHECK(options_.platform.window_seconds > 0.0);
   build_lanes();
-
-  // Lanes get a private pool: they must never share the policies' solver
-  // pool (a policy blocking on its own pool's futures from a lane thread
-  // could deadlock it). A pool with one effective worker (e.g.
-  // lane_threads=0 on a single-core host) is pure dispatch overhead, so
-  // those cases take the serial path — the results are identical either
-  // way, per the lane_threads invariance contract.
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.lane_threads != 1 && lanes_.size() > 1) {
-    const std::size_t want =
-        options_.lane_threads == 0
-            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-            : static_cast<std::size_t>(options_.lane_threads);
-    const std::size_t workers = std::min(want, lanes_.size());
-    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  }
+  SMILESS_CHECK_MSG(clock == nullptr || lanes_.size() == 1,
+                    "a paced run needs one populated lane, got " << lanes_.size());
 
   {
     // Lane-major: each lane runs its own window loop to the horizon as one
@@ -215,10 +239,12 @@ void ShardedPlatform::run(SimTime end) {
     // barrier site. parallel_for waits for every lane before rethrowing
     // the first error, so no lane outlives a failed run().
     prof::ScopeTimer barrier(options_.prof, prof::Site::ShardBarrier);
-    if (pool != nullptr) {
-      parallel_for(*pool, lanes_.size(), [&](std::size_t li) { run_lane(*lanes_[li], end); });
+    if (workers_ > 1) {
+      ThreadPool pool(workers_);
+      parallel_for(pool, lanes_.size(),
+                   [&](std::size_t li) { run_lane(*lanes_[li], end, nullptr); });
     } else {
-      for (auto& lane : lanes_) run_lane(*lane, end);
+      for (auto& lane : lanes_) run_lane(*lane, end, clock);
     }
   }
 
@@ -226,11 +252,11 @@ void ShardedPlatform::run(SimTime end) {
     prof::ScopeTimer fin_scope(options_.prof, prof::Site::Finalize);
     for (auto& lane : lanes_) lane->platform->finalize(end);
 
-    if (options_.telemetry != nullptr) {
+    if (options_.telemetry != nullptr && lanes_.size() > 1) {
       std::vector<obs::LaneTelemetry> streams;
       streams.reserve(lanes_.size());
       for (const auto& lane : lanes_)
-        streams.push_back({lane->telemetry.get(), &lane->app_map, lane->machine_base});
+        streams.push_back({lane->telemetry, &lane->app_map, lane->machine_base});
       obs::merge_lanes(streams, *options_.telemetry);
     }
   }

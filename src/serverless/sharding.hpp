@@ -15,6 +15,10 @@ namespace smiless::obs {
 class Telemetry;
 }  // namespace smiless::obs
 
+namespace smiless::sim {
+class Clock;
+}  // namespace smiless::sim
+
 namespace smiless::serverless {
 
 /// Knobs for one sharded cell (DESIGN.md §14).
@@ -50,39 +54,41 @@ struct ShardOptions {
   /// every lane, drawn from its private RNG stream.
   faults::FaultSpec faults;
 
-  /// Merged observability output (non-owning, may be null). Each lane
-  /// records into a private Telemetry; at the end of run() the lane streams
-  /// are merged in deterministic (t, lane, order) order into this bundle
-  /// with app/machine ids translated back to the cell's global spaces.
+  /// Observability output (non-owning, may be null). A lone populated lane
+  /// publishes straight into it: its app ids and machine ids already are
+  /// the cell's. With several lanes each records into a private Telemetry,
+  /// and at the end of run() the lane streams are merged in deterministic
+  /// (t, lane, order) order into this bundle with app/machine ids
+  /// translated back to the cell's global spaces.
   obs::Telemetry* telemetry = nullptr;
 
   /// Merged self-profiler output (non-owning, may be null). Profilers are
   /// not thread-safe, so each lane times itself into a private Profiler
   /// (lane window steps, engine, platform subsystems) while the coordinator
   /// charges its one wait for all lanes here; lane profilers are merged
-  /// into this one — keeping a per-lane breakdown — after the run.
-  /// Wall-clock only; the trajectory and every golden-compared artifact are
-  /// identical with or without it.
+  /// into this one — keeping a per-lane breakdown — after the run. Lanes
+  /// run on the calling thread nest their profilers in this one, so their
+  /// time is counted once (DESIGN.md §15). Wall-clock only; the trajectory
+  /// and every golden-compared artifact are identical with or without it.
   prof::Profiler* prof = nullptr;
 };
 
-/// A single cell's simulation sharded into deterministic parallel lanes.
+/// The cell runner (DESIGN.md §14): every cell — any lane count, discrete-
+/// event or paced by a wall clock — runs through this class's lane loop.
 ///
 /// Apps are partitioned by a stable hash of their deploy index; each lane
 /// owns a full private world — engine, cluster slice, RNG, fault injector,
-/// platform, telemetry — and each lane runs its own window loop to the
-/// horizon on one thread, never waiting for another lane. Because lanes
-/// share no mutable state and every merge, done after all lanes have
-/// finished, is ordered by (time, lane id, per-lane order), the output is
-/// bit-identical at any `lane_threads`, and a cell whose apps land in one
-/// lane reproduces the monolithic run exactly: the lone lane inherits the
-/// whole cluster, the unmixed seed (the lane seed of app index 0 IS the cell
-/// seed) and the full fault spec.
+/// platform — and each lane runs its own window loop to the horizon on one
+/// thread, never waiting for another lane. Because lanes share no mutable
+/// state and every merge, done after all lanes have finished, is ordered by
+/// (time, lane id, per-lane order), the output is bit-identical at any
+/// `lane_threads`, and a cell whose apps land in one lane is invariant in
+/// `lanes`: the lone lane inherits the whole cluster, the unmixed seed (the
+/// lane seed of app index 0 IS the cell seed) and the full fault spec.
 ///
-/// Arrivals are injected one window at a time instead of being scheduled
-/// upfront, bounding live events in each lane's queue to roughly a window's
-/// worth — this is also the platform's throughput path (see
-/// BENCH_throughput.json).
+/// Arrivals are injected one window at a time, bounding live events in each
+/// lane's queue to roughly a window's worth. An arrival at exactly a
+/// window's end belongs to the next window, as in workload::Trace::counts.
 ///
 /// Usage: add_app() every app, then run() exactly once, then read the books.
 class ShardedPlatform {
@@ -97,10 +103,17 @@ class ShardedPlatform {
   /// absolute sim times). Returns the app's global id. Call before run().
   int add_app(apps::App app, std::shared_ptr<Policy> policy, std::vector<SimTime> arrivals);
 
-  /// Build the lanes, run each to `end`, finalize every lane and merge
-  /// telemetry. Call exactly once. An exception from any lane is rethrown
-  /// once every lane has stopped.
-  void run(SimTime end);
+  /// Build the lanes, run each to `end`, finalize every lane and, with
+  /// several lanes, merge their telemetry. Call exactly once. An exception
+  /// from any lane is rethrown once every lane has stopped.
+  ///
+  /// `clock` (non-owning, may be null) paces the run. Null runs each window
+  /// with one Engine::run_until. Non-null waits for each instant inside the
+  /// window before firing it, and stops the lane where it stands when the
+  /// clock refuses a wait — a stop before the final window skips that
+  /// window's tail flush; the run then finalizes as usual. A paced run
+  /// needs exactly one populated lane.
+  void run(SimTime end, sim::Clock* clock = nullptr);
 
   /// The stable partition function: lane of the app with deploy index
   /// `global_index` under a `lanes`-way split.
@@ -117,11 +130,9 @@ class ShardedPlatform {
   faults::FaultStats fault_stats() const;
   /// Calendar-queue internals summed over lanes (resizes and direct
   /// searches add; buckets and peak_live are summed footprints). Internal
-  /// diagnostics only: the values differ between the monolithic
-  /// (upfront-scheduling) and sharded (streaming-injection) paths even
-  /// when the trajectories are identical, so they stay out of comparable
-  /// artifacts unless explicitly requested (ObservabilityOptions::
-  /// internal_stats).
+  /// diagnostics only: they depend on how many lanes share the events, so
+  /// they stay out of comparable artifacts unless explicitly requested
+  /// (ObservabilityOptions::internal_stats).
   sim::CalendarStats calendar_stats() const;
 
   int populated_lanes() const;
@@ -141,10 +152,12 @@ class ShardedPlatform {
 
   void build_lanes();
   /// One lane's window loop: inject the window's arrivals, run the engine
-  /// to the window's end, until `end`.
-  void run_lane(Lane& lane, SimTime end) const;
+  /// to the window's end (pacing each instant against `clock` when it is
+  /// set), until `end`.
+  void run_lane(Lane& lane, SimTime end, sim::Clock* clock) const;
 
   ShardOptions options_;
+  std::size_t workers_ = 1;  ///< threads running the lanes; 1 = the calling thread
   std::vector<PendingApp> pending_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<AppRef> refs_;

@@ -71,7 +71,8 @@ class CalendarQueue {
   /// Time of the earliest live event, or +infinity when empty. Positions
   /// the pop cursor (and reclaims tombstoned bucket heads) exactly like
   /// pop_due, so a peek-then-pop pair costs one scan, not two. Used by
-  /// pacing drivers to learn how long to wait; the DES path never calls it.
+  /// a paced lane loop to learn which instant to wait for; an unpaced run
+  /// never calls it.
   SimTime next_time();
 
   /// Live (non-tombstoned) pending events.

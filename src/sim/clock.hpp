@@ -4,13 +4,15 @@
 
 namespace smiless::sim {
 
-/// The time-source seam of a driver (DESIGN.md §16). A Clock decides when a
-/// simulation instant `t` is allowed to happen; the driver asks it before
-/// firing each event batch. Two implementations exist:
+/// The one time seam of the simulator (DESIGN.md §16). A Clock decides when
+/// a simulation instant `t` is allowed to happen; the lane loop of a paced
+/// cell (serverless::ShardedPlatform::run) asks it before firing the events
+/// of each instant. Two implementations exist:
 ///
 ///  - ImmediateClock (here) — simulated time is free, wait_until returns at
-///    once. This is the discrete-event mode: the engine runs as fast as the
-///    hardware allows and the wall clock never enters the picture.
+///    once: a paced run that behaves exactly like the unpaced
+///    discrete-event one (a null clock), which is how tests hold pacing to
+///    the contract below.
 ///  - rt::WallClock (src/rt/wall_clock.hpp) — maps sim seconds onto wall
 ///    seconds through a speedup factor and sleeps until each instant's wall
 ///    deadline. This is the live-serving mode.
@@ -23,13 +25,14 @@ class Clock {
  public:
   virtual ~Clock() = default;
 
-  /// Called once when a drive begins, with the sim time it starts from.
-  /// Pacing clocks anchor their wall epoch here; the default is a no-op.
+  /// Called once when a paced run begins, with the sim time it starts
+  /// from. Pacing clocks anchor their wall epoch here; the default is a
+  /// no-op.
   virtual void start(SimTime sim_now) { (void)sim_now; }
 
-  /// Block until sim time `t` may happen. Returns false when the drive
-  /// should stop early (e.g. an interrupt was requested) — the driver then
-  /// abandons the pump without firing the batch at `t`.
+  /// Block until sim time `t` may happen. Returns false when the run should
+  /// stop early (e.g. an interrupt was requested) — the lane loop then
+  /// stops without firing the events at `t`.
   virtual bool wait_until(SimTime t) = 0;
 };
 

@@ -81,8 +81,8 @@ class Engine {
   /// Sim time of the earliest live pending event, or +infinity when the
   /// queue is empty. Non-const because both queue impls reclaim tombstones
   /// on the way to the head — a trajectory-neutral side effect. This is
-  /// the peek pacing drivers (DESIGN.md §16) use to decide how long to
-  /// wait before the next batch; the DES pump never calls it.
+  /// the peek a paced lane loop (DESIGN.md §16) uses to decide which
+  /// instant to wait for next; an unpaced run never calls it.
   SimTime next_time();
 
   const EngineStats& stats() const { return stats_; }

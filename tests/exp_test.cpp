@@ -7,8 +7,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "baselines/experiment.hpp"
+#include "common/json.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
@@ -119,6 +123,22 @@ TEST(ExpConfig, WindowSecondsRoundTrips) {
                    serverless::PlatformOptions{}.window_seconds);
 }
 
+TEST(ExpConfig, RejectsLanesBelowOne) {
+  for (const long long lanes : {0LL, -4LL}) {
+    json::Value v = exp::ExperimentConfig{}.to_json();
+    v["lanes"] = lanes;
+    try {
+      exp::ExperimentConfig::from_json(v);
+      FAIL() << "lanes = " << lanes << " must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "lanes must be >= 1, got " + std::to_string(lanes));
+    }
+  }
+  json::Value v = exp::ExperimentConfig{}.to_json();
+  v["lanes"] = 3LL;
+  EXPECT_EQ(exp::ExperimentConfig::from_json(v).lanes, 3);
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;
@@ -149,6 +169,24 @@ TEST(ExpGrid, GridFileRoundTrips) {
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_EQ(a[i].to_json().dump(), b[i].to_json().dump());
   std::remove(path.c_str());
+}
+
+TEST(ExpGrid, RejectsLanesBelowOne) {
+  const auto expect_rejected = [](const std::string& doc) {
+    try {
+      exp::ExperimentGrid::from_json(json::Value::parse(doc));
+      FAIL() << "grid must be rejected: " << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("lanes must be >= 1"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(R"({"axes": {"lanes": [1, 0]}})");
+  expect_rejected(R"({"axes": {"lanes": [-4]}})");
+  expect_rejected(R"({"base": {"lanes": 0}})");
+  EXPECT_EQ(exp::ExperimentGrid::from_json(json::Value::parse(R"({"axes": {"lanes": [1, 4]}})"))
+                .lanes,
+            (std::vector<int>{1, 4}));
 }
 
 TEST(ExpRunner, RunCellMatchesDirectExperiment) {
@@ -186,6 +224,38 @@ TEST(ExpRunner, RunCellMatchesDirectExperiment) {
   EXPECT_EQ(cell.result.completed, direct.completed);
   EXPECT_EQ(cell.result.initializations, direct.initializations);
   EXPECT_EQ(cell.result.e2e, direct.e2e);
+}
+
+TEST(ExpRunner, RecordedTracesAreTheRunsOwnRequests) {
+  // Under faults the slowest recorded trace is the run's slowest request:
+  // traces come from the summarized run itself, and recording them never
+  // moves its trajectory.
+  exp::ExperimentConfig config;
+  config.app = "wl1";
+  config.policy = "orion";
+  config.use_lstm = false;
+  config.seed = 7;
+  config.trace.seed = 7;
+  config.trace.duration = 120.0;
+  config.faults.init_failure_prob = 0.3;
+  config.faults.straggler_prob = 0.2;
+
+  exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
+  const auto& store = runner.profiles(config.profile_seed);
+  const auto plain = exp::Runner::run_cell(config, store, runner.policy_pool());
+  config.platform.record_traces = true;
+  const auto traced = exp::Runner::run_cell(config, store, runner.policy_pool());
+
+  EXPECT_TRUE(plain.result.traces.empty());
+  EXPECT_EQ(traced.result.e2e, plain.result.e2e);
+  EXPECT_EQ(traced.result.cost, plain.result.cost);
+  const auto& r = traced.result;
+  ASSERT_FALSE(r.e2e.empty());
+  ASSERT_EQ(r.traces.size(), r.e2e.size());
+  const auto slowest = std::max_element(
+      r.traces.begin(), r.traces.end(),
+      [](const auto& a, const auto& b) { return a.e2e() < b.e2e(); });
+  EXPECT_EQ(slowest->e2e(), *std::max_element(r.e2e.begin(), r.e2e.end()));
 }
 
 TEST(ExpRunner, ParallelSweepBitIdenticalToSerial) {

@@ -1,69 +1,41 @@
-// Tests for the driver seam (sim::Clock / sim::Driver) and the live-serving
-// mode behind it (src/rt, exp::serve). The load-bearing contract, from
-// DESIGN.md §16: a clock only delays — it never reorders, drops or inserts
-// work — so the sim trajectory of a real-time drive is identical to the
-// upfront DES run of the same config. The equivalence suite here holds the
-// two drivers to that: same request terminal states, same ledger totals,
+// Tests for the pacing seam (sim::Clock under the lane loop) and the
+// live-serving mode behind it (src/rt, exp::serve). The load-bearing
+// contract, from DESIGN.md §16: a clock only delays — it never reorders,
+// drops or inserts work — so the sim trajectory of a paced run is identical
+// to the discrete-event run of the same config. The equivalence suite here
+// holds pacing to that: same request terminal states, same ledger totals,
 // same event counts (wall-clock fields excluded — no Event carries one).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "apps/catalog.hpp"
 #include "exp/runner.hpp"
 #include "exp/serve.hpp"
+#include "fingerprint.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/stream_sink.hpp"
 #include "obs/telemetry.hpp"
-#include "rt/driver.hpp"
-#include "rt/replayer.hpp"
 #include "rt/wall_clock.hpp"
+#include "serverless/platform_view.hpp"
+#include "serverless/policy.hpp"
+#include "serverless/sharding.hpp"
 #include "sim/clock.hpp"
-#include "sim/driver.hpp"
-#include "sim/engine.hpp"
 
 using namespace smiless;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// TraceReplayer
-// ---------------------------------------------------------------------------
-
-TEST(TraceReplayer, MergesStreamsInDueTimeThenRegistrationOrder) {
-  const std::vector<SimTime> a = {1.0, 3.0, 5.0};
-  const std::vector<SimTime> b = {2.0, 3.0};
-  std::vector<std::pair<std::size_t, SimTime>> got;
-  rt::TraceReplayer replayer([&](std::size_t slot, SimTime t) { got.push_back({slot, t}); });
-  EXPECT_EQ(replayer.add_stream(&a), 0u);
-  EXPECT_EQ(replayer.add_stream(&b), 1u);
-
-  EXPECT_DOUBLE_EQ(replayer.next_time(), 1.0);
-  replayer.inject_through(2.5);
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], (std::pair<std::size_t, SimTime>{0, 1.0}));
-  EXPECT_EQ(got[1], (std::pair<std::size_t, SimTime>{1, 2.0}));
-
-  // Tie at 3.0: registration (app) order, mirroring the upfront loop.
-  EXPECT_DOUBLE_EQ(replayer.next_time(), 3.0);
-  replayer.inject_through(3.0);
-  ASSERT_EQ(got.size(), 4u);
-  EXPECT_EQ(got[2].first, 0u);
-  EXPECT_EQ(got[3].first, 1u);
-
-  replayer.flush();
-  ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[4], (std::pair<std::size_t, SimTime>{0, 5.0}));
-  EXPECT_EQ(replayer.injected(), 5u);
-  EXPECT_TRUE(std::isinf(replayer.next_time()));
-}
 
 // ---------------------------------------------------------------------------
 // WallClock
@@ -100,100 +72,7 @@ TEST(WallClock, RequestStopAbortsTheWait) {
 }
 
 // ---------------------------------------------------------------------------
-// RealTimeDriver vs DesDriver on a bare engine
-// ---------------------------------------------------------------------------
-
-/// Schedule a deterministic self-extending workload; record the firing order.
-std::vector<int> run_schedule(sim::Driver& driver, sim::WorkSource* source = nullptr) {
-  sim::Engine engine;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    engine.schedule_at(static_cast<double>(i), [&fired, &engine, i] {
-      fired.push_back(i);
-      if (i == 2)  // events spawned mid-run land in the same trajectory
-        engine.schedule_after(0.5, [&fired] { fired.push_back(100); });
-    });
-  }
-  driver.drive(engine, source, 10.0);
-  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
-  return fired;
-}
-
-TEST(Drivers, RealTimeWithImmediateClockMatchesDes) {
-  sim::DesDriver des;
-  sim::ImmediateClock immediate;
-  rt::RealTimeDriver realtime(&immediate);
-  EXPECT_EQ(run_schedule(des), run_schedule(realtime));
-  EXPECT_EQ(realtime.stats().batches, 6u);  // 5 instants + the spawned one
-  EXPECT_FALSE(realtime.stats().interrupted);
-}
-
-TEST(Drivers, RealTimeStreamsASourceNoEarlierThanDue) {
-  sim::Engine engine;
-  std::vector<SimTime> arrivals = {1.0, 2.5, 4.0};
-  std::vector<SimTime> seen;  // engine.now() at each injection
-  rt::TraceReplayer replayer([&](std::size_t, SimTime t) {
-    // The driver must not have advanced past the arrival when it injects.
-    EXPECT_LE(engine.now(), t);
-    engine.schedule_at(t, [&seen, t] { seen.push_back(t); });
-  });
-  replayer.add_stream(&arrivals);
-  sim::ImmediateClock immediate;
-  rt::RealTimeDriver driver(&immediate);
-  driver.drive(engine, &replayer, 10.0);
-  EXPECT_EQ(seen, arrivals);
-  EXPECT_EQ(replayer.injected(), 3u);
-  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
-}
-
-TEST(Drivers, TailFlushSchedulesPostHorizonArrivals) {
-  // Arrivals past `end` must still be scheduled (never fired), matching the
-  // upfront run's scheduled-event tally.
-  sim::Engine engine;
-  std::vector<SimTime> arrivals = {1.0, 50.0};
-  int fired = 0;
-  rt::TraceReplayer replayer([&](std::size_t, SimTime t) {
-    engine.schedule_at(t, [&fired] { ++fired; });
-  });
-  replayer.add_stream(&arrivals);
-  sim::ImmediateClock immediate;
-  rt::RealTimeDriver driver(&immediate);
-  driver.drive(engine, &replayer, 10.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(replayer.injected(), 2u);
-  EXPECT_EQ(engine.stats().scheduled, 2u);
-}
-
-/// Clock that interrupts after a fixed number of waits — deterministic
-/// stand-in for a stop request landing mid-drive.
-class CountdownClock final : public sim::Clock {
- public:
-  explicit CountdownClock(int allowed) : allowed_(allowed) {}
-  bool wait_until(SimTime) override { return allowed_-- > 0; }
-
- private:
-  int allowed_;
-};
-
-TEST(Drivers, InterruptedDriveStopsWithoutFlushing) {
-  sim::Engine engine;
-  std::vector<SimTime> arrivals = {1.0, 2.0, 3.0, 4.0};
-  int injected_fired = 0;
-  rt::TraceReplayer replayer([&](std::size_t, SimTime t) {
-    engine.schedule_at(t, [&injected_fired] { ++injected_fired; });
-  });
-  replayer.add_stream(&arrivals);
-  CountdownClock clock(2);
-  rt::RealTimeDriver driver(&clock);
-  driver.drive(engine, &replayer, 10.0);
-  EXPECT_TRUE(driver.stats().interrupted);
-  EXPECT_EQ(injected_fired, 2);
-  EXPECT_EQ(replayer.injected(), 2u);   // no tail flush on interrupt
-  EXPECT_DOUBLE_EQ(engine.now(), 2.0);  // stopped at the last fired instant
-}
-
-// ---------------------------------------------------------------------------
-// DES vs real-time equivalence on a full cell
+// Pacing the lane loop
 // ---------------------------------------------------------------------------
 
 exp::ExperimentConfig small_cell() {
@@ -207,20 +86,158 @@ exp::ExperimentConfig small_cell() {
   return config;
 }
 
-/// Trajectory fingerprint: every booked aggregate plus each E2E latency, in
-/// hexfloat so equality is bitwise.
-std::string fingerprint(const baselines::RunResult& r) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << r.policy << '|' << r.cost << '|' << r.violation_ratio << '|' << r.submitted << '|'
-     << r.completed << '|' << r.failed << '|' << r.invocations << '|' << r.initializations
-     << '|' << r.init_failures << '|' << r.evictions << '|' << r.retries << '|' << r.timeouts
-     << '|' << r.cpu_core_seconds << '|' << r.gpu_pct_seconds;
-  for (const double e : r.e2e) os << ';' << e;
-  for (const auto& w : r.windows)
-    os << '#' << w.arrivals << ',' << w.instances_cpu << ',' << w.instances_gpu;
-  return os.str();
+/// The cell's event stream rendered as NDJSON: a byte-level view of the
+/// whole trajectory the bus saw.
+std::string ndjson(const obs::Telemetry& telemetry) {
+  std::ostringstream out;
+  obs::StreamSink sink(&out);
+  for (const auto& e : telemetry.bus().events()) sink.write(e);
+  return out.str();
 }
+
+TEST(Drivers, RealTimeWithImmediateClockMatchesDes) {
+  // A cell paced by a clock that never delays must be the unpaced cell,
+  // byte for byte.
+  auto config = small_cell();
+  config.obs.audit_out = "(in-memory)";  // attach telemetry, write nothing
+  exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
+  const auto& store = runner.profiles(config.profile_seed);
+  const exp::CellResult des = exp::Runner::run_cell(config, store, runner.policy_pool());
+
+  sim::ImmediateClock immediate;
+  const exp::CellResult paced =
+      exp::execute_cell(config, store, runner.policy_pool(), /*lane_threads=*/1,
+                        std::make_shared<obs::Telemetry>(), nullptr, &immediate);
+
+  EXPECT_EQ(fingerprint(paced.result), fingerprint(des.result));
+  ASSERT_NE(des.telemetry, nullptr);
+  ASSERT_NE(paced.telemetry, nullptr);
+  EXPECT_EQ(ndjson(*paced.telemetry), ndjson(*des.telemetry));
+  EXPECT_EQ(paced.telemetry->metrics_json().dump(), des.telemetry->metrics_json().dump());
+  EXPECT_EQ(paced.telemetry->audit_json().dump(), des.telemetry->audit_json().dump());
+}
+
+/// Clock that records each instant it is asked for and refuses every wait
+/// after the first `allowed` — a deterministic stand-in for a stop request
+/// landing mid-run.
+class RecordingClock final : public sim::Clock {
+ public:
+  explicit RecordingClock(std::size_t allowed = std::numeric_limits<std::size_t>::max())
+      : allowed_(allowed) {}
+
+  bool wait_until(SimTime t) override {
+    asked.push_back(t);
+    return asked.size() <= allowed_;
+  }
+
+  /// The last instant let through; -infinity before the first.
+  SimTime granted() const {
+    const std::size_t n = std::min(asked.size(), allowed_);
+    return n == 0 ? -std::numeric_limits<double>::infinity() : asked[n - 1];
+  }
+
+  std::vector<SimTime> asked;
+
+ private:
+  std::size_t allowed_;
+};
+
+/// Policy that installs a default plan on every function and records, for
+/// each arrival, its sim time and the last instant the clock had granted
+/// then.
+class ArrivalProbe final : public serverless::Policy {
+ public:
+  explicit ArrivalProbe(const RecordingClock* clock) : clock_(clock) {}
+  std::string name() const override { return "probe"; }
+  void on_deploy(serverless::AppId app, const apps::App& spec,
+                 serverless::PlatformView& platform) override {
+    for (std::size_t n = 0; n < spec.dag.size(); ++n)
+      platform.set_plan(app, static_cast<dag::NodeId>(n), serverless::FunctionPlan{});
+  }
+  void on_arrival(serverless::AppId, const apps::App&, serverless::PlatformView&,
+                  SimTime now) override {
+    seen.emplace_back(now, clock_ != nullptr ? clock_->granted() : now);
+  }
+
+  std::vector<std::pair<SimTime, SimTime>> seen;  ///< (arrival, granted)
+
+ private:
+  const RecordingClock* clock_;
+};
+
+constexpr SimTime kEnd = 10.0;
+
+struct PacedRun {
+  sim::EngineStats stats;
+  long submitted = 0;
+  std::vector<std::pair<SimTime, SimTime>> seen;
+};
+
+/// One app on the lane loop to kEnd, paced by `clock` (null = unpaced).
+PacedRun run_paced(const std::vector<SimTime>& arrivals, RecordingClock* clock) {
+  serverless::ShardedPlatform platform(serverless::ShardOptions{});
+  auto probe = std::make_shared<ArrivalProbe>(clock);
+  platform.add_app(apps::make_amber_alert(2.0), probe, arrivals);
+  platform.run(kEnd, clock);
+  return {platform.engine_stats(), platform.metrics(0).submitted, probe->seen};
+}
+
+TEST(Drivers, RealTimeStreamsASourceNoEarlierThanDue) {
+  // Each arrival fires at the very instant the clock let through, never
+  // before it, and the clock is only ever asked to move forward.
+  const std::vector<SimTime> arrivals = {0.5, 1.0, 2.25, 2.25, 7.75};
+  RecordingClock clock;
+  const PacedRun run = run_paced(arrivals, &clock);
+  ASSERT_EQ(run.seen.size(), arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(run.seen[i].first, arrivals[i]);
+    EXPECT_EQ(run.seen[i].first, run.seen[i].second);
+  }
+  ASSERT_FALSE(clock.asked.empty());
+  EXPECT_TRUE(std::is_sorted(clock.asked.begin(), clock.asked.end()));
+  EXPECT_LE(clock.asked.back(), kEnd);
+
+  const PacedRun unpaced = run_paced(arrivals, nullptr);
+  EXPECT_EQ(run.stats.scheduled, unpaced.stats.scheduled);
+  EXPECT_EQ(run.stats.fired, unpaced.stats.fired);
+  EXPECT_EQ(run.stats.cancelled, unpaced.stats.cancelled);
+}
+
+TEST(Drivers, TailFlushSchedulesPostHorizonArrivals) {
+  // An arrival past the horizon is still scheduled (never fired) when the
+  // run completes, paced or not, so the scheduled-event tally counts the
+  // whole trace.
+  RecordingClock clock;
+  const PacedRun with_tail = run_paced({1.5, 50.0}, &clock);
+  const PacedRun without_tail = run_paced({1.5}, nullptr);
+  EXPECT_EQ(with_tail.submitted, 1);
+  EXPECT_EQ(with_tail.stats.scheduled, without_tail.stats.scheduled + 1);
+  EXPECT_EQ(with_tail.stats.fired, without_tail.stats.fired);
+  EXPECT_EQ(run_paced({1.5, 50.0}, nullptr).stats.scheduled, with_tail.stats.scheduled);
+}
+
+TEST(Drivers, InterruptedDriveStopsWithoutFlushing) {
+  const std::vector<SimTime> arrivals = {1.5, 2.5, 3.5, 4.5};
+  std::vector<SimTime> with_tail = arrivals;
+  with_tail.push_back(50.0);
+  RecordingClock clock(2);
+  RecordingClock tail_clock(2);
+  const PacedRun stopped = run_paced(arrivals, &clock);
+  const PacedRun stopped_tail = run_paced(with_tail, &tail_clock);
+
+  ASSERT_EQ(clock.asked.size(), 3u);  // two granted, the third refused: no more
+  // Nothing fired past the last granted instant...
+  EXPECT_EQ(stopped.submitted, static_cast<long>(stopped.seen.size()));
+  EXPECT_LT(stopped.submitted, static_cast<long>(arrivals.size()));
+  for (const auto& [t, granted] : stopped.seen) EXPECT_LE(t, clock.asked[1]);
+  // ...and the post-horizon arrival was never scheduled: no tail flush.
+  EXPECT_EQ(stopped_tail.stats.scheduled, stopped.stats.scheduled);
+  EXPECT_EQ(run_paced(arrivals, nullptr).submitted, static_cast<long>(arrivals.size()));
+}
+
+// ---------------------------------------------------------------------------
+// DES vs wall-clock serving on a full cell
+// ---------------------------------------------------------------------------
 
 std::map<std::string, int> event_counts(const obs::Telemetry& telemetry) {
   std::map<std::string, int> counts;
@@ -244,7 +261,6 @@ TEST(ServeEquivalence, RealTimeReplayMatchesTheDesRun) {
 
   EXPECT_FALSE(live.interrupted);
   EXPECT_GT(live.batches, 0u);
-  EXPECT_EQ(live.injected, static_cast<std::uint64_t>(des.result.submitted));
   EXPECT_EQ(fingerprint(live.cell.result), fingerprint(des.result));
   ASSERT_NE(des.telemetry, nullptr);
   ASSERT_NE(live.cell.telemetry, nullptr);

@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "sim/clock.hpp"
-#include "sim/driver.hpp"
 #include "sim/engine.hpp"
 
 namespace smiless::sim {
@@ -33,26 +32,6 @@ TEST_P(NextTime, PeeksTheEarliestLiveEventWithoutPopping) {
 INSTANTIATE_TEST_SUITE_P(BothQueues, NextTime,
                          ::testing::Values(Engine::QueueImpl::Calendar,
                                            Engine::QueueImpl::BinaryHeap));
-
-TEST(DesDriver, DriveIsRunUntil) {
-  // The DES driver must reproduce the pre-seam pump exactly: same firing
-  // order, same final clock.
-  std::vector<double> via_engine;
-  std::vector<double> via_driver;
-  for (int mode = 0; mode < 2; ++mode) {
-    Engine e;
-    auto& fired = mode == 0 ? via_engine : via_driver;
-    for (double t : {2.0, 1.0, 1.0, 4.5}) e.schedule_at(t, [&fired, &e] { fired.push_back(e.now()); });
-    if (mode == 0) {
-      e.run_until(10.0);
-    } else {
-      DesDriver des;
-      des.drive(e, nullptr, 10.0);
-    }
-    EXPECT_DOUBLE_EQ(e.now(), 10.0);
-  }
-  EXPECT_EQ(via_engine, via_driver);
-}
 
 TEST(ImmediateClock, NeverDelaysOrInterrupts) {
   ImmediateClock clock;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/rng.hpp"
 #include "math/stats.hpp"
@@ -142,32 +141,27 @@ TEST(ArrivalCursor, DrainBoundsMatchTheirInjectionModes) {
   const auto grab = [&](SimTime t) { got.push_back(t); };
 
   ArrivalCursor cursor(&arrivals);
-  EXPECT_DOUBLE_EQ(cursor.next_time(), 1.0);
-  EXPECT_EQ(cursor.remaining(), 5u);
 
-  // drain_before is strict (< limit): the per-window streaming bound.
+  // drain_before is strict (< limit): the per-window streaming bound, so
+  // the arrivals at exactly 2.0 wait for the window that starts there.
   EXPECT_EQ(cursor.drain_before(2.0, grab), 1u);
   EXPECT_EQ(got, (std::vector<SimTime>{1.0}));
-
-  // drain_through is inclusive (<= t): the pacing-driver bound.
-  EXPECT_EQ(cursor.drain_through(2.0, grab), 2u);
+  EXPECT_EQ(cursor.drain_before(3.0, grab), 2u);
   EXPECT_EQ(got, (std::vector<SimTime>{1.0, 2.0, 2.0}));
-  EXPECT_DOUBLE_EQ(cursor.next_time(), 3.0);
+  EXPECT_FALSE(cursor.exhausted());
 
   // drain_all flushes the tail regardless of time.
   EXPECT_EQ(cursor.drain_all(grab), 2u);
   EXPECT_EQ(got, (std::vector<SimTime>{1.0, 2.0, 2.0, 3.0, 5.0}));
   EXPECT_TRUE(cursor.exhausted());
-  EXPECT_TRUE(std::isinf(cursor.next_time()));
   EXPECT_EQ(cursor.drain_all(grab), 0u);
 }
 
 TEST(ArrivalCursor, DefaultConstructedIsExhausted) {
   ArrivalCursor cursor;
   EXPECT_TRUE(cursor.exhausted());
-  EXPECT_EQ(cursor.remaining(), 0u);
-  EXPECT_TRUE(std::isinf(cursor.next_time()));
   EXPECT_EQ(cursor.drain_before(100.0, [](SimTime) {}), 0u);
+  EXPECT_EQ(cursor.drain_all([](SimTime) {}), 0u);
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 // so anything the CLI can do is reproducible from one JSON config file.
 //
 //   smiless_sim [serve] [options]
-//     serve                 live-serving mode (DESIGN.md §16): pump the same
-//                           cell against the wall clock via rt::RealTimeDriver,
-//                           streaming the trace through the Gateway as each
-//                           arrival's wall deadline passes. Same config, same
-//                           books, same stdout summary as the DES run.
+//     serve                 live-serving mode (DESIGN.md §16): run the same
+//                           cell paced by rt::WallClock, firing each simulated
+//                           instant once its wall deadline passes. Same
+//                           config, same books, same stdout summary as the
+//                           DES run.
 //     --speedup <x>         serve: sim-seconds per wall-second (default 1)
 //     --stream-out <file>   serve: live NDJSON event stream (one flushed
 //                           line per event; schema pinned by
@@ -24,12 +24,13 @@
 //     --sla <seconds>       end-to-end SLA target (default 2.0)
 //     --seed <n>            RNG seed for trace + simulation (default 42)
 //     --lanes <k>           shard the cell into k deterministic lanes
-//                           (default 1 = monolithic; see DESIGN.md §14)
+//                           (default 1 = one lane; see DESIGN.md §14)
 //     --lane-threads <n>    threads stepping the lanes (0 = hardware,
 //                           1 = serial; wall-clock only, never results)
 //     --no-lstm             use lightweight statistical predictors
 //     --dump-trace <file>   write the (generated) trace as CSV and exit
-//     --slow <n>            print the n slowest request traces (default 0)
+//     --slow <n>            print the n slowest request traces of the first
+//                           policy's run (default 0)
 //
 //   Sweeps (the parallel experiment runner):
 //     --sweep <grid.json>   run every cell of an ExperimentGrid file
@@ -53,7 +54,7 @@
 //     --profile-out <file>  runtime self-profiler JSON (wall-clock scope
 //                           breakdown + sampled internal counters)
 //     --internal-stats      mirror calendar-queue internals into metrics-out
-//                           (path-revealing: monolithic vs sharded differ)
+//                           (lane-revealing: they depend on the lane split)
 //
 //   Fault injection (all off by default; see DESIGN.md "Failure model"):
 //     --fault-init-p <p>        container init failure probability
@@ -332,10 +333,11 @@ int run_serve(const CliOptions& cli) {
   if (cfg.obs.any()) exp::write_artifacts({report.cell}, cfg.obs);
   print_summary_table({report.cell}, cfg.faults.any());
 
-  std::cerr << "[serve] driver=realtime speedup=" << TextTable::num(report.speedup, 0)
+  std::cerr << "[serve] clock=wall speedup=" << TextTable::num(report.speedup, 0)
             << " wall=" << TextTable::num(report.wall_seconds, 2)
             << " s max_lag=" << TextTable::num(report.max_lag_seconds, 3)
-            << " s batches=" << report.batches << " arrivals=" << report.injected;
+            << " s batches=" << report.batches
+            << " arrivals=" << report.cell.result.submitted;
   if (!cli.stream_out.empty())
     std::cerr << " stream_lines=" << report.stream_lines << " -> " << cli.stream_out;
   std::cerr << "\n";
@@ -451,32 +453,16 @@ int main(int argc, char** argv) {
     cfg.policy = policy;
     cells_cfg.push_back(std::move(cfg));
   }
+  // --slow lists requests of the first summarized cell, so that cell keeps
+  // its traces (recording them never moves the trajectory).
+  if (cli.slow > 0) cells_cfg.front().platform.record_traces = true;
   exp::Runner runner(cli.runner);
   const auto cells = runner.run(cells_cfg);
   if (cli.config.obs.any()) exp::write_artifacts(cells, cli.config.obs);
   print_summary_table(cells, cli.config.faults.any());
 
   if (cli.slow > 0) {
-    // Re-run the first policy with tracing to show the slowest requests.
-    auto traced = cells_cfg.front();
-    traced.platform.record_traces = true;
-    sim::Engine engine;
-    cluster::Cluster cluster = cluster::Cluster::paper_testbed();
-    Rng rng(traced.seed);
-    serverless::PlatformOptions popt = traced.platform;
-    serverless::Platform platform(engine, cluster, perf::Pricing{}, rng, popt);
-    baselines::PolicySettings settings;
-    settings.use_lstm = traced.use_lstm;
-    settings.pool = runner.policy_pool();
-    settings.oracle_trace = &trace;
-    const auto kind = *baselines::parse_policy_kind(traced.policy);
-    const auto id = platform.deploy(
-        app, baselines::make_policy(kind, app, runner.profiles(traced.profile_seed), settings));
-    for (SimTime t : trace.arrivals) platform.submit_request(id, t);
-    const double end = static_cast<double>(trace.counts.size()) + 120.0;
-    engine.run_until(end);
-    platform.finalize(end);
-    auto traces = platform.metrics(id).traces;
+    auto traces = cells.front().result.traces;
     std::sort(traces.begin(), traces.end(),
               [](const auto& a, const auto& b) { return a.e2e() > b.e2e(); });
     std::cout << "\n=== " << cli.slow << " slowest requests ===\n";
