@@ -1,19 +1,16 @@
 // Simulator throughput baseline: one large colocated cell — hundreds of
 // machines, thousands of DAG applications, a multi-hour Poisson + burst
-// trace per app — driven end-to-end through the Platform on both event
-// queue implementations (the calendar queue that serves the hot path, and
-// the pre-calendar binary-heap + std::map reference), plus the intra-cell
-// sharding axis (ShardedPlatform at lanes 1/2/4/8, streaming per-window
-// arrival injection) and a pure-queue hold-model microbench that isolates
-// the data structure from platform work. Records events/sec, wall time,
-// peak RSS, EngineStats and CalendarStats into BENCH_throughput.json (see
-// DESIGN.md §13–14).
+// trace per app — driven end-to-end through ShardedPlatform's lane loop at
+// lanes 1/2/4/8 (streaming per-window arrival injection), plus a pure-queue
+// hold-model microbench that runs the calendar queue and its executable
+// specification (sim::ReferenceQueue, the binary heap + std::map pair) on
+// the same schedule. Records events/sec, wall time, peak RSS and
+// EngineStats into BENCH_throughput.json (see DESIGN.md §13–14).
 //
-// Correctness gates: both queue impls must produce bit-identical
-// simulation trajectories, and the lanes=1 sharded run must reproduce the
-// monolithic trajectory's counts exactly, or the bench aborts. (Lanes > 1
-// is a different cell — the fleet is partitioned — so its counts are
-// reported per lane count, not gated against the monolithic run.)
+// Correctness gate: the two queues must fire the same (time, id) sequence
+// in the micro, or the bench exits 1. Each lane count is a different cell —
+// the fleet is partitioned — so its counts are reported per row; the
+// `deterministic` section is the lanes=1 row.
 //
 // Timing and RSS are measurements of the harness itself, not simulated
 // behaviour; the trajectory counts in the artifact are byte-stable for a
@@ -31,11 +28,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -43,16 +44,16 @@
 
 #include "apps/catalog.hpp"
 #include "bench/bench_common.hpp"
-#include "cluster/cluster.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "prof/profiler.hpp"
 #include "serverless/plan.hpp"
-#include "serverless/platform.hpp"
 #include "serverless/platform_view.hpp"
 #include "serverless/policy.hpp"
 #include "serverless/sharding.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/engine.hpp"
+#include "sim/reference_queue.hpp"
 #include "workload/trace.hpp"
 
 using namespace smiless;
@@ -72,10 +73,6 @@ double now_seconds() {
   // detlint:allow(wall-clock) harness throughput measurement; stays out of the simulation
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double>(t).count();
-}
-
-const char* impl_name(sim::Engine::QueueImpl impl) {
-  return impl == sim::Engine::QueueImpl::Calendar ? "calendar" : "binary_heap";
 }
 
 /// Run `fn` in a forked child and ship its trivially-copyable result back
@@ -160,84 +157,12 @@ struct EndToEnd {
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
   double rss_after_mb = 0.0;
-  sim::CalendarStats cal;  // calendar impl only
   prof::Snapshot profile;  // self-profiler wall-time breakdown
 };
 
-/// Drive run_until in visible chunks when --progress is on: same trajectory
-/// (run_until is re-entrant on sim time), plus a running events/sec + ETA
-/// line on stderr. ETA extrapolates wall time per simulated second.
-void run_with_progress(sim::Engine& engine, double end, const char* label, double t0) {
-  if (!bench::bench_args().progress) {
-    engine.run_until(end);
-    return;
-  }
-  constexpr int kChunks = 50;
-  for (int k = 1; k <= kChunks; ++k) {
-    engine.run_until(end * k / kChunks);
-    const double elapsed = now_seconds() - t0;
-    const double frac = static_cast<double>(k) / kChunks;
-    const double eta = frac > 0.0 ? elapsed * (1.0 - frac) / frac : 0.0;
-    const double rate =
-        elapsed > 0.0 ? static_cast<double>(engine.stats().fired) / elapsed : 0.0;
-    std::fprintf(stderr, "\rbench_throughput: [%s] %3.0f%%  %.2fM events/s  ETA %5.1fs   ",
-                 label, 100.0 * frac, rate / 1e6, eta);
-  }
-  std::fprintf(stderr, "\n");
-}
-
-EndToEnd run_cell(sim::Engine::QueueImpl impl, const CellConfig& cc,
-                  const std::vector<workload::Trace>& traces) {
-  const double t0 = now_seconds();
-
-  prof::Profiler profiler;
-  sim::Engine engine(impl);
-  engine.set_profiler(&profiler);
-  cluster::Cluster cluster(cc.machines, cluster::MachineSpec{});
-  Rng rng(cc.seed);
-  serverless::PlatformOptions popt;
-  popt.prof = &profiler;
-  serverless::Platform platform(engine, cluster, perf::Pricing{}, rng, popt);
-  auto policy = std::make_shared<KeepWarmPolicy>();
-
-  double horizon = 0.0;
-  EndToEnd r;
-  {
-    // Root scope: every instrumented site below nests under it, so the
-    // profile section's exclusive times sum to this bracket exactly.
-    prof::ScopeTimer root(&profiler, prof::Site::CellRun);
-    for (std::size_t i = 0; i < cc.apps; ++i) {
-      apps::App app = apps::make_synthetic_pipeline(cc.nodes_per_app, /*sla=*/2.0);
-      const serverless::AppId id = platform.deploy(std::move(app), policy);
-      for (SimTime t : traces[i].arrivals) platform.submit_request(id, t);
-      r.submitted += static_cast<long long>(traces[i].arrivals.size());
-      horizon = std::max(horizon,
-                         static_cast<double>(traces[i].counts.size()) * traces[i].window);
-    }
-    const double end = horizon + 120.0;  // drain slack
-    run_with_progress(engine, end, impl_name(impl), t0);
-    platform.finalize(end);
-  }
-
-  r.wall_seconds = now_seconds() - t0;
-  r.profile = profiler.snapshot();
-  r.scheduled = engine.stats().scheduled;
-  r.fired = engine.stats().fired;
-  r.cancelled = engine.stats().cancelled;
-  r.events_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(r.fired) / r.wall_seconds : 0.0;
-  r.rss_after_mb = peak_rss_mb();
-  if (const sim::CalendarStats* cs = engine.calendar_stats()) r.cal = *cs;
-  for (std::size_t i = 0; i < cc.apps; ++i)
-    r.completed += static_cast<long long>(
-        platform.metrics(static_cast<serverless::AppId>(i)).completed.size());
-  return r;
-}
-
-/// The same cell through ShardedPlatform: apps hash-partitioned into lanes,
-/// arrivals injected one window at a time instead of scheduled upfront. With
-/// one lane this is the baseline cell's trajectory with a bounded live event
-/// set; with more lanes the fleet is partitioned too.
+/// The cell through ShardedPlatform: apps partitioned into lanes, arrivals
+/// injected one window at a time. With more lanes the fleet is partitioned
+/// too, so each lane count is its own (equally deterministic) cell.
 EndToEnd run_lanes(int lanes, int lane_threads, const CellConfig& cc,
                    const std::vector<workload::Trace>& traces) {
   const double t0 = now_seconds();
@@ -282,63 +207,74 @@ EndToEnd run_lanes(int lanes, int lane_threads, const CellConfig& cc,
 }
 
 /// Classic hold-model microbench: keep `live` events pending, repeatedly
-/// pop the earliest and schedule a replacement at now + exp(1). Isolates
-/// schedule/pop/cancel cost from platform callback work; with thousands
-/// pending this is where the heap pays its O(log n) and its two map
-/// allocations per event.
+/// pop the earliest and schedule a replacement at now + exp(1), rounded up
+/// to a 1 ms grid so that same-timestamp events are common (as window ticks
+/// are in the end-to-end cell) and the FIFO tie-break is exercised. Drives
+/// the queue directly, with the Engine's id and clock bookkeeping inline,
+/// so it isolates schedule/pop/cancel cost from platform callback work;
+/// with thousands pending this is where the heap pays its O(log n) and its
+/// two map allocations per event. `fire_order` hashes the (time, id)
+/// sequence the queue fired, so two queues can be compared without
+/// storing it.
 struct Micro {
   std::uint64_t events = 0;
+  std::uint64_t fire_order = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
 };
 
-Micro run_micro(sim::Engine::QueueImpl impl, std::uint64_t total_events,
-                std::size_t live, std::uint64_t seed) {
-  sim::Engine engine(impl);
+/// splitmix64 finalizer: the fire-order hash step.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+template <typename Queue>
+Micro run_micro(std::uint64_t total_events, std::size_t live, std::uint64_t seed) {
+  Queue queue;
   Rng rng(seed);
+  SimTime now = 0.0;
+  sim::EventId next_id = 1;
   std::uint64_t fired = 0;
   std::vector<sim::EventId> cancellable;
+  const auto schedule = [&](SimTime delay, std::function<void()> cb) {
+    queue.schedule(std::ceil((now + delay) * 1e3) / 1e3, next_id, std::move(cb));
+    return next_id++;
+  };
 
   std::function<void()> hold = [&] {
     ++fired;
     if (fired + cancellable.size() < total_events) {
-      engine.schedule_after(rng.exponential(1.0), hold);
+      schedule(rng.exponential(1.0), hold);
       // A slice of events is scheduled and later cancelled, as keep-alive
       // timers are in the end-to-end cell.
-      if ((fired & 7u) == 0u)
-        cancellable.push_back(engine.schedule_after(rng.uniform(1.0, 30.0), [] {}));
+      if ((fired & 7u) == 0u) cancellable.push_back(schedule(rng.uniform(1.0, 30.0), [] {}));
       if (cancellable.size() >= 64) {
-        for (sim::EventId id : cancellable) engine.cancel(id);
+        for (sim::EventId id : cancellable) queue.cancel(id);
         cancellable.clear();
       }
     }
   };
 
-  const double t0 = now_seconds();
-  for (std::size_t i = 0; i < live; ++i) engine.schedule_after(rng.exponential(1.0), hold);
-  engine.run();
   Micro m;
-  m.events = engine.stats().fired;
+  const double t0 = now_seconds();
+  for (std::size_t i = 0; i < live; ++i) schedule(rng.exponential(1.0), hold);
+  SimTime t = 0.0;
+  sim::EventId id = 0;
+  std::function<void()> cb;
+  while (queue.pop_due(std::numeric_limits<SimTime>::max(), &t, &id, &cb)) {
+    now = t;
+    ++m.events;
+    m.fire_order = mix(mix(m.fire_order ^ std::bit_cast<std::uint64_t>(t)) ^ id);
+    cb();
+    cb = nullptr;
+  }
   m.wall_seconds = now_seconds() - t0;
   m.events_per_sec =
       m.wall_seconds > 0.0 ? static_cast<double>(m.events) / m.wall_seconds : 0.0;
   return m;
-}
-
-json::Value end_to_end_json(const EndToEnd& r, bool with_calendar) {
-  json::Value v = json::Value::object();
-  v["wall_seconds"] = r.wall_seconds;
-  v["events_per_sec"] = r.events_per_sec;
-  v["peak_rss_mb"] = r.rss_after_mb;
-  if (with_calendar) {
-    json::Value cs = json::Value::object();
-    cs["resizes"] = r.cal.resizes;
-    cs["direct_searches"] = r.cal.direct_searches;
-    cs["buckets"] = static_cast<std::uint64_t>(r.cal.buckets);
-    cs["peak_live"] = static_cast<std::uint64_t>(r.cal.peak_live);
-    v["calendar_stats"] = cs;
-  }
-  return v;
 }
 
 }  // namespace
@@ -376,8 +312,7 @@ int main(int argc, char** argv) {
   }
   cc.duration = bench::bench_duration(1800.0);
 
-  // One trace set shared by both impls: identical arrivals in, identical
-  // trajectory out.
+  // One trace set shared by every lane count.
   std::vector<workload::Trace> traces;
   traces.reserve(cc.apps);
   long long arrivals_total = 0;
@@ -407,62 +342,30 @@ int main(int argc, char** argv) {
                  lanes, sharded.back().wall_seconds, sharded.back().events_per_sec);
   }
 
-  const EndToEnd cal = run_isolated<EndToEnd>(
-      [&] { return run_cell(sim::Engine::QueueImpl::Calendar, cc, traces); });
-  std::fprintf(stderr, "bench_throughput: [e2e %s] %.2fs, %.0f events/s\n",
-               impl_name(sim::Engine::QueueImpl::Calendar), cal.wall_seconds,
-               cal.events_per_sec);
-  const EndToEnd heap = run_isolated<EndToEnd>(
-      [&] { return run_cell(sim::Engine::QueueImpl::BinaryHeap, cc, traces); });
-  std::fprintf(stderr, "bench_throughput: [e2e %s] %.2fs, %.0f events/s\n",
-               impl_name(sim::Engine::QueueImpl::BinaryHeap), heap.wall_seconds,
-               heap.events_per_sec);
-
-  // Correctness gate: the queue impl must be unobservable in the trajectory.
-  if (cal.scheduled != heap.scheduled || cal.fired != heap.fired ||
-      cal.cancelled != heap.cancelled || cal.completed != heap.completed) {
-    std::fprintf(stderr,
-                 "bench_throughput: IMPL DIVERGENCE calendar(%llu/%llu/%llu/%lld) "
-                 "vs heap(%llu/%llu/%llu/%lld)\n",
-                 static_cast<unsigned long long>(cal.scheduled),
-                 static_cast<unsigned long long>(cal.fired),
-                 static_cast<unsigned long long>(cal.cancelled), cal.completed,
-                 static_cast<unsigned long long>(heap.scheduled),
-                 static_cast<unsigned long long>(heap.fired),
-                 static_cast<unsigned long long>(heap.cancelled), heap.completed);
-    return 1;
-  }
-
-  // Legacy-equality gate: one lane is the monolithic cell — streaming
-  // injection must be unobservable in the trajectory counts.
-  const EndToEnd& one = sharded.front();
-  if (one.scheduled != cal.scheduled || one.fired != cal.fired ||
-      one.cancelled != cal.cancelled || one.completed != cal.completed) {
-    std::fprintf(stderr,
-                 "bench_throughput: SHARDING DIVERGENCE lanes=1(%llu/%llu/%llu/%lld) "
-                 "vs monolithic(%llu/%llu/%llu/%lld)\n",
-                 static_cast<unsigned long long>(one.scheduled),
-                 static_cast<unsigned long long>(one.fired),
-                 static_cast<unsigned long long>(one.cancelled), one.completed,
-                 static_cast<unsigned long long>(cal.scheduled),
-                 static_cast<unsigned long long>(cal.fired),
-                 static_cast<unsigned long long>(cal.cancelled), cal.completed);
-    return 1;
-  }
-
-  const Micro mcal = run_isolated<Micro>([&] {
-    return run_micro(sim::Engine::QueueImpl::Calendar, micro_events, micro_live, cc.seed);
-  });
-  const Micro mheap = run_isolated<Micro>([&] {
-    return run_micro(sim::Engine::QueueImpl::BinaryHeap, micro_events, micro_live, cc.seed);
-  });
+  const Micro mcal = run_isolated<Micro>(
+      [&] { return run_micro<sim::CalendarQueue>(micro_events, micro_live, cc.seed); });
+  const Micro mref = run_isolated<Micro>(
+      [&] { return run_micro<sim::ReferenceQueue>(micro_events, micro_live, cc.seed); });
   std::fprintf(stderr,
                "bench_throughput: [micro] calendar %.0f events/s, heap %.0f "
                "events/s (%.2fx)\n",
-               mcal.events_per_sec, mheap.events_per_sec,
-               mheap.events_per_sec > 0.0 ? mcal.events_per_sec / mheap.events_per_sec
-                                          : 0.0);
+               mcal.events_per_sec, mref.events_per_sec,
+               mref.events_per_sec > 0.0 ? mcal.events_per_sec / mref.events_per_sec : 0.0);
 
+  // Correctness gate: the calendar must fire exactly what its executable
+  // specification fires.
+  if (mcal.events != mref.events || mcal.fire_order != mref.fire_order) {
+    std::fprintf(stderr,
+                 "bench_throughput: QUEUE DIVERGENCE calendar fired %llu events (order "
+                 "%016llx), reference %llu (order %016llx)\n",
+                 static_cast<unsigned long long>(mcal.events),
+                 static_cast<unsigned long long>(mcal.fire_order),
+                 static_cast<unsigned long long>(mref.events),
+                 static_cast<unsigned long long>(mref.fire_order));
+    return 1;
+  }
+
+  const EndToEnd& one = sharded.front();
   json::Value doc = json::Value::object();
   doc["bench"] = "throughput";
   {
@@ -477,25 +380,21 @@ int main(int argc, char** argv) {
     doc["config"] = cfg;
   }
   {
-    // Byte-stable for a given config: pure simulation-domain counts, equal
-    // across queue impls by the gate above.
+    // Byte-stable for a given config: the lanes=1 row's simulation-domain
+    // counts.
     json::Value det = json::Value::object();
     det["arrivals_total"] = arrivals_total;
-    det["requests_submitted"] = cal.submitted;
-    det["requests_completed"] = cal.completed;
-    det["events_scheduled"] = cal.scheduled;
-    det["events_fired"] = cal.fired;
-    det["events_cancelled"] = cal.cancelled;
-    det["identical_across_impls"] = true;
+    det["requests_submitted"] = one.submitted;
+    det["requests_completed"] = one.completed;
+    det["events_scheduled"] = one.scheduled;
+    det["events_fired"] = one.fired;
+    det["events_cancelled"] = one.cancelled;
     doc["deterministic"] = det;
   }
-  doc["calendar"] = end_to_end_json(cal, /*with_calendar=*/true);
-  doc["binary_heap"] = end_to_end_json(heap, /*with_calendar=*/false);
   {
-    // The intra-cell sharding axis (DESIGN.md §14). lanes=1 is count-gated
-    // against the monolithic run above; lanes>1 partitions the fleet, so
-    // its counts describe a different (but equally deterministic) cell and
-    // are recorded alongside the measurements.
+    // The intra-cell sharding axis (DESIGN.md §14). lanes>1 partitions the
+    // fleet, so each row's counts describe a different (but equally
+    // deterministic) cell and are recorded alongside the measurements.
     json::Value sh = json::Value::object();
     sh["lane_threads"] = static_cast<long long>(lane_threads);
     json::Value rows = json::Value::array();
@@ -513,9 +412,8 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row));
     }
     sh["lanes"] = std::move(rows);
-    sh["speedup_lanes8_vs_monolithic"] =
-        cal.events_per_sec > 0.0 ? sharded.back().events_per_sec / cal.events_per_sec
-                                 : 0.0;
+    sh["speedup_lanes8_vs_lanes1"] =
+        one.events_per_sec > 0.0 ? sharded.back().events_per_sec / one.events_per_sec : 0.0;
     sh["note"] =
         "streaming per-window arrival injection bounds the live event set; each "
         "lane runs to the horizon on one of lane_threads threads, so a speedup "
@@ -524,34 +422,30 @@ int main(int argc, char** argv) {
   }
   {
     json::Value micro = json::Value::object();
-    json::Value a = json::Value::object();
-    a["events"] = mcal.events;
-    a["wall_seconds"] = mcal.wall_seconds;
-    a["events_per_sec"] = mcal.events_per_sec;
-    micro["calendar"] = a;
-    json::Value b = json::Value::object();
-    b["events"] = mheap.events;
-    b["wall_seconds"] = mheap.wall_seconds;
-    b["events_per_sec"] = mheap.events_per_sec;
-    micro["binary_heap"] = b;
+    const auto section = [](const Micro& m) {
+      json::Value v = json::Value::object();
+      v["events"] = m.events;
+      v["wall_seconds"] = m.wall_seconds;
+      v["events_per_sec"] = m.events_per_sec;
+      return v;
+    };
+    micro["calendar"] = section(mcal);
+    micro["binary_heap"] = section(mref);
+    micro["identical_fire_order"] = true;  // gated above
     micro["speedup"] =
-        mheap.events_per_sec > 0.0 ? mcal.events_per_sec / mheap.events_per_sec : 0.0;
+        mref.events_per_sec > 0.0 ? mcal.events_per_sec / mref.events_per_sec : 0.0;
     doc["micro"] = micro;
   }
-  doc["e2e_speedup"] =
-      heap.events_per_sec > 0.0 ? cal.events_per_sec / heap.events_per_sec : 0.0;
   doc["peak_rss_mb"] = peak_rss_mb();
   {
     // Self-profiler breakdown (DESIGN.md §15). Wall-clock data: stable in
-    // shape, not in values. The headline `coverage` is the calendar e2e
-    // cell's Σ exclusive / root — the root scope brackets the whole cell,
-    // so it is 1.0 by construction (the bench contract demands >= 0.9).
-    // Sharded cells can exceed 1.0: lane wall time on worker threads
-    // overlaps the coordinator's wait for the lanes.
+    // shape, not in values. The headline `coverage` is the lanes=1 cell's
+    // Σ exclusive / root — its lone lane runs on the calling thread under
+    // the root scope, so it is 1.0 by construction. Cells with several
+    // lanes can exceed 1.0: lane wall time on worker threads overlaps the
+    // coordinator's wait for the lanes.
     json::Value pr = json::Value::object();
-    pr["coverage"] = prof::snapshot_to_json(cal.profile).get("coverage", 0.0);
-    pr["calendar"] = prof::snapshot_to_json(cal.profile);
-    pr["binary_heap"] = prof::snapshot_to_json(heap.profile);
+    pr["coverage"] = prof::snapshot_to_json(one.profile).get("coverage", 0.0);
     json::Value rows = json::Value::array();
     for (std::size_t i = 0; i < sharded.size(); ++i) {
       json::Value row = prof::snapshot_to_json(sharded[i].profile);
@@ -572,20 +466,19 @@ int main(int argc, char** argv) {
     payload["title"] = std::string("bench_throughput self-profile");
     payload["generator"] = std::string("bench_throughput");
     json::Value cells = json::Value::array();
-    auto add = [&](const std::string& label, const prof::Snapshot& s) {
+    auto add = [&](const std::string& label, int lanes, const prof::Snapshot& s) {
       json::Value cell = json::Value::object();
       cell["label"] = label;
       cell["policy"] = std::string("bench-keepwarm");
       cell["app"] = std::string("synthetic-pipeline");
       cell["seed"] = static_cast<long long>(cc.seed);
-      cell["lanes"] = 1LL;
+      cell["lanes"] = static_cast<long long>(lanes);
       cell["profile"] = prof::snapshot_to_json(s);
       cells.push_back(std::move(cell));
     };
-    add("e2e calendar", cal.profile);
-    add("e2e binary_heap", heap.profile);
     for (std::size_t i = 0; i < sharded.size(); ++i)
-      add("sharded lanes=" + std::to_string(lane_counts[i]), sharded[i].profile);
+      add("sharded lanes=" + std::to_string(lane_counts[i]), lane_counts[i],
+          sharded[i].profile);
     payload["cells"] = std::move(cells);
     std::ofstream os(bench::bench_args().report_out, std::ios::binary);
     if (!os.good()) {

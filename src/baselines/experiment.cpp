@@ -65,20 +65,6 @@ void fill_result(RunResult& r, const serverless::AppMetrics& m, double sla) {
                                              static_cast<double>(r.submitted);
 }
 
-/// Opt-in (ExperimentOptions::internal_stats) mirror of the calendar
-/// queue's internals, summed over lanes. These depend on how the apps are
-/// spread over lanes — a single-app cell's queue holds one lane's events at
-/// any `lanes`, a multi-app cell's is split — so resizes/buckets/peak_live
-/// differ between bit-identical trajectories, which is exactly why they
-/// are off by default and kept out of the mirror below.
-void mirror_internal(obs::Telemetry& tel, const sim::CalendarStats& cs) {
-  auto& reg = tel.registry();
-  reg.count("engine/calendar/resizes", cs.resizes);
-  reg.count("engine/calendar/direct_searches", cs.direct_searches);
-  reg.gauge("engine/calendar/buckets", static_cast<double>(cs.buckets));
-  reg.gauge("engine/calendar/peak_live", static_cast<double>(cs.peak_live));
-}
-
 /// Mirror the run's global books into the telemetry registry — the same
 /// keys at any lane count, so artifacts don't reveal how the cell was
 /// split.
@@ -154,10 +140,8 @@ std::vector<RunResult> run_colocated(std::vector<ColocatedApp> apps,
   for (std::size_t i = 0; i < apps.size(); ++i)
     fill_result(out[i], sharded.metrics(static_cast<int>(i)), slas[i]);
 
-  if (options.telemetry != nullptr) {
+  if (options.telemetry != nullptr)
     mirror_registry(*options.telemetry, sharded.engine_stats(), sharded.fault_stats(), out);
-    if (options.internal_stats) mirror_internal(*options.telemetry, sharded.calendar_stats());
-  }
   return out;
 }
 

@@ -90,13 +90,6 @@ struct ExperimentOptions {
   /// live-serving mode — with a trajectory identical to the null run; it
   /// needs every app in one lane (see ShardedPlatform::run).
   sim::Clock* clock = nullptr;
-
-  /// Export internal queue diagnostics (CalendarStats, engine counters
-  /// already mirrored) into the telemetry metric registry. Off by default
-  /// because calendar internals depend on how the apps are spread over
-  /// lanes even when trajectories are bit-identical — opting in makes
-  /// --metrics-out lane-revealing.
-  bool internal_stats = false;
 };
 
 /// Outcome of serving one trace with one policy.

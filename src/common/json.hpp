@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -105,10 +106,30 @@ class Value {
     throw std::runtime_error("json: expected bool");
   }
 
-  long long as_int() const {
-    if (kind_ == Kind::Int) return int_;
-    if (kind_ == Kind::Double) return static_cast<long long>(double_);
-    throw std::runtime_error("json: expected integer");
+  /// The value as an integer in [lo, hi]. A double converts only when it
+  /// is integral and a long long holds it; anything else throws, naming
+  /// `key` (when given) and the value. Casting 1e999 or 1e30 to an integer
+  /// would be undefined behaviour, and casting 7.9 would truncate silently.
+  long long as_int(std::string_view key = {},
+                   long long lo = std::numeric_limits<long long>::min(),
+                   long long hi = std::numeric_limits<long long>::max()) const {
+    // [-2^63, 2^63) are exactly the doubles a long long holds; both bounds
+    // are powers of two, so the comparisons are exact. NaN fails them all.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    bool integral = kind_ == Kind::Int;
+    long long v = int_;
+    if (kind_ == Kind::Double && double_ == std::trunc(double_) && double_ >= -kTwo63 &&
+        double_ < kTwo63) {
+      integral = true;
+      v = static_cast<long long>(double_);
+    }
+    if (integral && v >= lo && v <= hi) return v;
+    std::string shown = dump();
+    if (kind_ == Kind::Double && shown.front() == '"') shown = shown.substr(1, shown.size() - 2);
+    std::string msg = "json: ";
+    if (!key.empty()) msg += "'" + std::string(key) + "': ";
+    throw std::runtime_error(msg + "expected an integer in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "], got " + shown);
   }
 
   double as_double() const {
@@ -135,10 +156,13 @@ class Value {
   }
   long long get(const std::string& key, long long def) const {
     const Value* v = find(key);
-    return v == nullptr ? def : v->as_int();
+    return v == nullptr ? def : v->as_int(key);
   }
   int get(const std::string& key, int def) const {
-    return static_cast<int>(get(key, static_cast<long long>(def)));
+    const Value* v = find(key);
+    return v == nullptr ? def
+                        : static_cast<int>(v->as_int(key, std::numeric_limits<int>::min(),
+                                                     std::numeric_limits<int>::max()));
   }
   bool get(const std::string& key, bool def) const {
     const Value* v = find(key);
@@ -436,6 +460,7 @@ class Value {
       char* end = nullptr;
       const long long v = std::strtoll(tok.c_str(), &end, 10);
       if (end == nullptr || *end != '\0') fail("bad number");
+      if (errno == ERANGE) fail("integer " + tok + " does not fit in 64 bits");
       return Value(v);
     }
   };

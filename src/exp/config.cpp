@@ -61,7 +61,6 @@ json::Value ObservabilityOptions::to_json() const {
   v["report_out"] = report_out;
   v["profile_out"] = profile_out;
   v["series_cadence"] = series_cadence;
-  v["internal_stats"] = internal_stats;
   return v;
 }
 
@@ -75,7 +74,6 @@ ObservabilityOptions ObservabilityOptions::from_json(const json::Value& v) {
   o.report_out = v.get("report_out", o.report_out);
   o.profile_out = v.get("profile_out", o.profile_out);
   o.series_cadence = v.get("series_cadence", o.series_cadence);
-  o.internal_stats = v.get("internal_stats", o.internal_stats);
   return o;
 }
 
@@ -283,9 +281,9 @@ ExperimentGrid ExperimentGrid::from_json(const json::Value& v) {
     for (const auto& x : a->items()) g.use_lstms.push_back(x.as_bool());
   if (const json::Value* a = axes->find("seeds"))
     for (const auto& x : a->items())
-      g.seeds.push_back(static_cast<std::uint64_t>(x.as_int()));
+      g.seeds.push_back(static_cast<std::uint64_t>(x.as_int("seeds")));
   if (const json::Value* a = axes->find("lanes"))
-    for (const auto& x : a->items()) g.lanes.push_back(lane_count(x.as_int()));
+    for (const auto& x : a->items()) g.lanes.push_back(lane_count(x.as_int("lanes")));
   return g;
 }
 

@@ -65,12 +65,6 @@ struct ObservabilityOptions {
   /// from group_key, so sweeping it never splits aggregation groups.
   double series_cadence = 1.0;
 
-  /// Mirror internal queue diagnostics (CalendarStats) into metrics_out.
-  /// Off by default: those counters depend on how the apps are spread over
-  /// lanes even when the trajectories are bit-identical, so turning this on
-  /// makes metrics lane-revealing.
-  bool internal_stats = false;
-
   /// True when any collector needs a Telemetry attached to the run.
   bool collect() const {
     return !trace_out.empty() || !metrics_out.empty() || !audit_out.empty() ||

@@ -60,7 +60,6 @@ CellResult execute_cell(const ExperimentConfig& config, const baselines::Profile
   options.faults = config.faults;
   options.telemetry = telemetry.get();
   options.profiler = profile.get();
-  options.internal_stats = config.obs.internal_stats;
   if (!config.obs.series_out.empty() || !config.obs.report_out.empty())
     options.series_cadence = config.obs.series_cadence;
   options.clock = clock;

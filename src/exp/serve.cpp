@@ -1,7 +1,6 @@
 #include "exp/serve.hpp"
 
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/stream_sink.hpp"
@@ -12,8 +11,6 @@ namespace smiless::exp {
 
 ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore& store,
                   std::shared_ptr<ThreadPool> policy_pool, const ServeOptions& options) {
-  if (config.lanes != 1) throw std::runtime_error("serve paces a single lane; set lanes = 1");
-
   // The live stream needs the event bus even when config.obs collects nothing.
   std::shared_ptr<obs::Telemetry> telemetry;
   if (config.obs.collect() || options.stream != nullptr)

@@ -45,8 +45,9 @@ struct ServeReport {
 /// By the Clock contract the books in `cell.result` match the DES run of
 /// the same config (the CI serve smoke diffs the two summary tables).
 ///
-/// Throws std::runtime_error for configs serve does not pace (lanes != 1)
-/// or that run_cell would reject (unknown app/policy).
+/// Any `lanes` serves: a config holds one app, which populates exactly one
+/// lane, the one a paced run needs. Throws std::runtime_error for configs
+/// run_cell would reject (unknown app/policy).
 ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore& store,
                   std::shared_ptr<ThreadPool> policy_pool, const ServeOptions& options);
 

@@ -19,15 +19,22 @@ namespace smiless::serverless {
 
 using obs::EventType;
 
+std::optional<std::size_t> warm_first_pick(const std::vector<Instance>& instances,
+                                           const perf::HwConfig& config) {
+  std::optional<std::size_t> fallback;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i];
+    if (inst.st != InstanceState::Idle) continue;
+    if (inst.config == config) return i;
+    if (!fallback) fallback = i;
+  }
+  return fallback;
+}
+
 FunctionScheduler::FunctionScheduler(sim::Engine& engine, Rng& rng,
                                      const PlatformOptions& options, const AppTable& table,
-                                     Ledger& ledger, std::unique_ptr<Router> router)
-    : engine_(engine),
-      rng_(rng),
-      options_(options),
-      table_(table),
-      ledger_(ledger),
-      router_(router != nullptr ? std::move(router) : std::make_unique<WarmFirstRouter>()) {}
+                                     Ledger& ledger)
+    : engine_(engine), rng_(rng), options_(options), table_(table), ledger_(ledger) {}
 
 void FunctionScheduler::wire(RequestTracker* tracker, InstancePool* pool) {
   tracker_ = tracker;
@@ -83,12 +90,7 @@ void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
 
   while (!f.queue.empty()) {
     std::vector<Instance>& instances = pool_->instances(app, node);
-    const CandidateView candidates(instances.data(), instances.size());
-    const RoutingContext ctx{.now = engine_.now(),
-                             .queue_depth = f.queue.size(),
-                             .lane = options_.lane,
-                             .plan = &f.plan};
-    const std::optional<std::size_t> pick = router_->select(candidates, ctx);
+    const std::optional<std::size_t> pick = warm_first_pick(instances, f.plan.config);
     if (!pick) break;
     SMILESS_CHECK(*pick < instances.size());
     Instance* chosen = &instances[*pick];

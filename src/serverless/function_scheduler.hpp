@@ -1,14 +1,16 @@
 #pragma once
 
+#include <cstddef>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/slab.hpp"
 #include "dag/dag.hpp"
+#include "perfmodel/hardware.hpp"
+#include "serverless/instance.hpp"
 #include "serverless/plan.hpp"
-#include "serverless/router.hpp"
 #include "serverless/types.hpp"
 
 namespace smiless::sim {
@@ -23,19 +25,25 @@ class Ledger;
 struct PlatformOptions;
 class RequestTracker;
 
+/// The dispatch order: the index of the first idle instance whose config
+/// matches `config` (the function plan's), else of the first idle instance
+/// (it is warm — use it), else nullopt, which sends the scheduler down the
+/// cold-start path.
+std::optional<std::size_t> warm_first_pick(const std::vector<Instance>& instances,
+                                           const perf::HwConfig& config);
+
 /// FunctionScheduler — per-function queues, batching and dispatch. Single
 /// responsibility: hold each function's FunctionPlan and its FIFO of ready
-/// invocations, and drain that FIFO onto instances: the Router picks the
-/// serving instance, the scheduler forms a batch of up to plan.max_batch
-/// invocations, samples the inference latency, and schedules the batch
-/// completion. When the queue is non-empty and no instance exists it defers
-/// to the InstancePool's cold-start path. Publishes obs: BatchStart,
-/// BatchEnd, InvocationDone.
+/// invocations, and drain that FIFO onto instances: warm_first_pick chooses
+/// the serving instance, the scheduler forms a batch of up to
+/// plan.max_batch invocations, samples the inference latency, and schedules
+/// the batch completion. When the queue is non-empty and no instance exists
+/// it defers to the InstancePool's cold-start path. Publishes obs:
+/// BatchStart, BatchEnd, InvocationDone.
 class FunctionScheduler {
  public:
   FunctionScheduler(sim::Engine& engine, Rng& rng, const PlatformOptions& options,
-                    const AppTable& table, Ledger& ledger,
-                    std::unique_ptr<Router> router = nullptr);
+                    const AppTable& table, Ledger& ledger);
 
   void wire(RequestTracker* tracker, InstancePool* pool);
 
@@ -65,8 +73,6 @@ class FunctionScheduler {
 
   bool queue_empty(AppId app, dag::NodeId node) const;
   std::size_t queue_length(AppId app, dag::NodeId node) const;
-
-  const Router& router() const { return *router_; }
 
   /// Return a batch slice's storage to the recycler once the InstancePool
   /// has finished completing it. Steady-state dispatch then performs zero
@@ -99,7 +105,6 @@ class FunctionScheduler {
   Ledger& ledger_;
   RequestTracker* tracker_ = nullptr;
   InstancePool* pool_ = nullptr;
-  std::unique_ptr<Router> router_;
   std::deque<std::vector<FnQueue>> apps_;  // by AppId, then NodeId
   common::Recycler<std::vector<RequestId>> slices_;  // batch-slice storage
   std::uint64_t dispatch_calls_ = 0;  // profiler sampling cadence only

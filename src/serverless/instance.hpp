@@ -12,8 +12,8 @@
 namespace smiless::serverless {
 
 /// One container instance of a function: the unit the InstancePool manages,
-/// the Router selects among, and the Ledger bills from `created` to its
-/// termination instant.
+/// the FunctionScheduler selects among, and the Ledger bills from `created`
+/// to its termination instant.
 struct Instance {
   InstanceId id = -1;
   perf::HwConfig config;

@@ -46,7 +46,7 @@ class InstancePool {
 
   void add_app(std::size_t nodes);
 
-  /// The live instance list the Router selects from.
+  /// The live instance list warm_first_pick selects from.
   std::vector<Instance>& instances(AppId app, dag::NodeId node);
 
   /// Claim an idle instance for a batch: cancel its reap timer and flip it

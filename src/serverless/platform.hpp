@@ -64,9 +64,9 @@ struct PlatformOptions {
   bool record_traces = false;   ///< keep per-request NodeSpan traces (§IV-A events)
 
   /// Lane id of the hosting platform inside a sharded cell (0 for the
-  /// ordinary unsharded platform). Surfaced to routers via RoutingContext
-  /// and to policies via PlatformView::lane(). Set programmatically by
-  /// ShardedPlatform — deliberately not serialized.
+  /// ordinary unsharded platform). Surfaced to policies via
+  /// PlatformView::lane(). Set programmatically by ShardedPlatform —
+  /// deliberately not serialized.
   int lane = 0;
 
   /// Optional fault source (non-owning; must outlive the platform). When
@@ -95,7 +95,7 @@ struct PlatformOptions {
 ///  - Gateway          — arrival intake and the per-app window ticker
 ///  - RequestTracker   — per-request DAG progress and terminal transitions
 ///  - FunctionScheduler — per-function queues, batching and dispatch
-///                        (instance selection behind the Router seam)
+///                        (warm-first instance selection)
 ///  - InstancePool     — container lifecycle: cold starts, keep-alive
 ///                        reaping, pre-warm timers, eviction, retry ladder
 ///  - Ledger           — billing (Eq. 3), metrics books, window samples

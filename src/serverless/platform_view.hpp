@@ -71,12 +71,6 @@ class PlatformView {
   }
 
  private:
-  friend class Policy;  // the deprecated-shim defaults unwrap the view
-
-  /// @deprecated Escape hatch for the one-release Platform& shims in
-  /// Policy; goes away with them.
-  Platform& unscoped() const { return *platform_; }
-
   Platform* platform_;
 };
 

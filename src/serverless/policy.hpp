@@ -12,7 +12,6 @@ class AuditLog;
 
 namespace smiless::serverless {
 
-class Platform;
 class PlatformView;
 
 /// Arrival statistics for the window that just closed, delivered by the
@@ -34,11 +33,6 @@ struct WindowStats {
 /// Platform. A policy therefore cannot submit requests, finalize the run or
 /// reach another lane's state, which is what makes policies safe to run
 /// inside sharded cells (DESIGN.md §14).
-///
-/// MIGRATION (deprecated, one release): the pre-sharding `Platform&`
-/// overloads below are kept as thin shims. A policy that still overrides
-/// them keeps working — the PlatformView defaults forward — but new code
-/// must override the PlatformView hooks; the shims disappear next release.
 class Policy {
  public:
   virtual ~Policy() = default;
@@ -47,39 +41,10 @@ class Policy {
 
   /// Called once when the application is deployed. Must install an initial
   /// FunctionPlan for every DAG node.
-  virtual void on_deploy(AppId app, const apps::App& spec, PlatformView& platform);
+  virtual void on_deploy(AppId app, const apps::App& spec, PlatformView& platform) = 0;
 
   /// Called at each 1 s window boundary with the closed window's stats.
   virtual void on_window(AppId app, const apps::App& spec, PlatformView& platform,
-                         const WindowStats& stats);
-
-  /// Called when a request arrives at the Gateway, before it is routed.
-  virtual void on_arrival(AppId app, const apps::App& spec, PlatformView& platform,
-                          SimTime now);
-
-  /// Called after an instance of `node` died involuntarily — a failed cold
-  /// init or a machine-down eviction. The platform has already released the
-  /// instance and re-queued any in-flight invocations; policies may react
-  /// (re-prewarm, restore a scale-out floor). Default: do nothing and let
-  /// the platform's cold-start retry path handle queued work.
-  virtual void on_instance_failed(AppId app, const apps::App& spec, PlatformView& platform,
-                                  dag::NodeId node, InstanceFailure kind);
-
-  /// Rebind the policy's decision audit log (no-op for policies that do not
-  /// audit). ShardedPlatform uses this to point each app's policy at its
-  /// lane's log so lanes never share a mutable sink.
-  virtual void set_audit_log(obs::AuditLog* audit) { (void)audit; }
-
-  // --- deprecated Platform& shims (removed next release) --------------------
-
-  /// @deprecated Override the PlatformView overload instead. The default
-  /// aborts loudly: a policy overriding *neither* on_deploy overload is a
-  /// bug, and this turns it into a deploy-time failure instead of a
-  /// silently plan-less app.
-  virtual void on_deploy(AppId app, const apps::App& spec, Platform& platform);
-
-  /// @deprecated Override the PlatformView overload instead.
-  virtual void on_window(AppId app, const apps::App& spec, Platform& platform,
                          const WindowStats& stats) {
     (void)app;
     (void)spec;
@@ -87,16 +52,21 @@ class Policy {
     (void)stats;
   }
 
-  /// @deprecated Override the PlatformView overload instead.
-  virtual void on_arrival(AppId app, const apps::App& spec, Platform& platform, SimTime now) {
+  /// Called when a request arrives at the Gateway, before it is routed.
+  virtual void on_arrival(AppId app, const apps::App& spec, PlatformView& platform,
+                          SimTime now) {
     (void)app;
     (void)spec;
     (void)platform;
     (void)now;
   }
 
-  /// @deprecated Override the PlatformView overload instead.
-  virtual void on_instance_failed(AppId app, const apps::App& spec, Platform& platform,
+  /// Called after an instance of `node` died involuntarily — a failed cold
+  /// init or a machine-down eviction. The platform has already released the
+  /// instance and re-queued any in-flight invocations; policies may react
+  /// (re-prewarm, restore a scale-out floor). Default: do nothing and let
+  /// the platform's cold-start retry path handle queued work.
+  virtual void on_instance_failed(AppId app, const apps::App& spec, PlatformView& platform,
                                   dag::NodeId node, InstanceFailure kind) {
     (void)app;
     (void)spec;
@@ -104,6 +74,11 @@ class Policy {
     (void)node;
     (void)kind;
   }
+
+  /// Rebind the policy's decision audit log (no-op for policies that do not
+  /// audit). ShardedPlatform uses this to point each app's policy at its
+  /// lane's log so lanes never share a mutable sink.
+  virtual void set_audit_log(obs::AuditLog* audit) { (void)audit; }
 };
 
 }  // namespace smiless::serverless

@@ -290,19 +290,6 @@ sim::EngineStats ShardedPlatform::engine_stats() const {
   return sum;
 }
 
-sim::CalendarStats ShardedPlatform::calendar_stats() const {
-  sim::CalendarStats sum;
-  for (const auto& lane : lanes_) {
-    const sim::CalendarStats* s = lane->engine.calendar_stats();
-    if (s == nullptr) continue;
-    sum.resizes += s->resizes;
-    sum.direct_searches += s->direct_searches;
-    sum.buckets += s->buckets;
-    sum.peak_live += s->peak_live;
-  }
-  return sum;
-}
-
 faults::FaultStats ShardedPlatform::fault_stats() const {
   faults::FaultStats sum;
   for (const auto& lane : lanes_) {

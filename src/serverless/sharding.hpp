@@ -128,12 +128,6 @@ class ShardedPlatform {
   sim::EngineStats engine_stats() const;
   /// Injector counters summed over lanes.
   faults::FaultStats fault_stats() const;
-  /// Calendar-queue internals summed over lanes (resizes and direct
-  /// searches add; buckets and peak_live are summed footprints). Internal
-  /// diagnostics only: they depend on how many lanes share the events, so
-  /// they stay out of comparable artifacts unless explicitly requested
-  /// (ObservabilityOptions::internal_stats).
-  sim::CalendarStats calendar_stats() const;
 
   int populated_lanes() const;
   const ShardOptions& options() const { return options_; }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "common/check.hpp"
 #include "common/units.hpp"
@@ -14,12 +13,9 @@ class Profiler;
 
 namespace smiless::sim {
 
-class ReferenceQueue;
-
 /// Lifetime counters over an Engine's event queue, surfaced through the
-/// observability metric registry. Pure simulation-domain tallies —
-/// identical for every QueueImpl by contract (the differential fuzz
-/// harness asserts it).
+/// observability metric registry. Pure simulation-domain tallies — the
+/// differential fuzz harness asserts the reference model counts the same.
 struct EngineStats {
   std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
@@ -30,23 +26,16 @@ struct EngineStats {
 /// cancellable callbacks. Events at the same timestamp fire in scheduling
 /// order, which makes whole experiments deterministic.
 ///
-/// The queue behind the clock is selectable at construction:
-///  - QueueImpl::Calendar (default) — the O(1)-amortized calendar queue
-///    with slab-allocated nodes and inline callbacks (the hot path).
-///  - QueueImpl::BinaryHeap — the original priority_queue + std::map pair,
-///    kept as the reference model for differential testing and as the
-///    baseline the throughput bench measures the calendar against.
-/// Both produce bit-identical trajectories; the choice is a pure
-/// performance knob.
+/// The queue behind the clock is the O(1)-amortized calendar queue with
+/// slab-allocated nodes and inline callbacks (DESIGN.md §13). Its
+/// executable specification, sim::ReferenceQueue, lives outside the engine:
+/// the differential fuzz harness and the throughput bench's hold-model
+/// micro drive both and demand the same firing order.
 class Engine {
  public:
   using Callback = std::function<void()>;
 
-  enum class QueueImpl { Calendar, BinaryHeap };
-
-  Engine();
-  explicit Engine(QueueImpl impl);
-  ~Engine();
+  Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -76,25 +65,19 @@ class Engine {
   void run();
 
   /// Live pending events; cancelled (tombstoned) events are excluded.
-  std::size_t pending() const;
+  std::size_t pending() const { return calendar_.live(); }
 
   /// Sim time of the earliest live pending event, or +infinity when the
-  /// queue is empty. Non-const because both queue impls reclaim tombstones
-  /// on the way to the head — a trajectory-neutral side effect. This is
-  /// the peek a paced lane loop (DESIGN.md §16) uses to decide which
-  /// instant to wait for next; an unpaced run never calls it.
-  SimTime next_time();
+  /// queue is empty. Non-const because the queue reclaims tombstones on
+  /// the way to the head — a trajectory-neutral side effect. This is the
+  /// peek a paced lane loop (DESIGN.md §16) uses to decide which instant
+  /// to wait for next; an unpaced run never calls it.
+  SimTime next_time() { return calendar_.next_time(); }
 
   const EngineStats& stats() const { return stats_; }
 
-  QueueImpl queue_impl() const {
-    return ref_ != nullptr ? QueueImpl::BinaryHeap : QueueImpl::Calendar;
-  }
-
-  /// Calendar internals for the bench; null under QueueImpl::BinaryHeap.
-  const CalendarStats* calendar_stats() const {
-    return ref_ != nullptr ? nullptr : &calendar_.stats();
-  }
+  /// Calendar-queue internals (bucket geometry, resizes, direct searches).
+  const CalendarStats& calendar_stats() const { return calendar_.stats(); }
 
   /// Attach (or detach, with nullptr) the runtime self-profiler. When set,
   /// run_until/schedule_at/cancel record wall-time scopes and the engine
@@ -115,8 +98,7 @@ class Engine {
   EventId next_id_ = 1;
   EngineStats stats_;
   CalendarQueue calendar_;
-  std::unique_ptr<ReferenceQueue> ref_;  ///< engaged iff QueueImpl::BinaryHeap
-  prof::Profiler* prof_ = nullptr;       ///< optional self-profiler (not owned)
+  prof::Profiler* prof_ = nullptr;  ///< optional self-profiler (not owned)
 };
 
 }  // namespace smiless::sim

@@ -15,11 +15,11 @@ namespace smiless::sim {
 /// The pre-calendar event queue, kept verbatim as the executable
 /// specification of the Engine's ordering contract: a binary heap of
 /// (time, id) keys shadowed by a `std::map<EventId, Callback>` whose
-/// presence marks an event live. The differential fuzz harness
-/// (tests/calendar_queue_test.cpp) drives this model and the CalendarQueue
-/// side by side and demands identical firing orders, clocks and stats; the
-/// throughput bench runs the same large cell on both to measure the
-/// calendar's speedup. Engine selects it via Engine::QueueImpl::BinaryHeap.
+/// presence marks an event live. Nothing in the simulator runs on it. The
+/// differential fuzz harness (tests/calendar_queue_test.cpp) drives a model
+/// engine over it side by side with sim::Engine and demands identical
+/// firing orders, clocks and stats; the throughput bench's hold-model micro
+/// runs both queues and fails unless they fire the same (time, id) sequence.
 class ReferenceQueue {
  public:
   using Callback = std::function<void()>;

@@ -9,19 +9,63 @@
 
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
+#include "sim/reference_queue.hpp"
 
 // Differential fuzz harness for the calendar event queue: the same seeded
 // episode of schedule / cancel / run_until operations is replayed against
-// Engine(QueueImpl::Calendar) and Engine(QueueImpl::BinaryHeap) — the
-// pre-calendar heap+map pair kept as the executable specification — and the
-// two trajectories must match exactly: firing order, observed clocks,
-// cancel results, pending() probes, and EngineStats. Episodes deliberately
-// hit the nasty corners: same-timestamp bursts, cancel-after-fire,
-// cancel-twice, schedule-during-fire, cancel-during-fire, zero-length
+// sim::Engine and against ModelEngine — the same clock and stats over the
+// pre-calendar heap+map pair (sim::ReferenceQueue) kept as the executable
+// specification — and the two trajectories must match exactly: firing
+// order, observed clocks, cancel results, pending() and next_time() probes,
+// and EngineStats. Episodes deliberately hit the nasty corners:
+// same-timestamp bursts, cancel-after-fire, cancel-twice,
+// schedule-during-fire, cancel-during-fire, peeks during fire, zero-length
 // run_until steps, and far-future outliers that skew the bucket width.
 
 namespace smiless::sim {
 namespace {
+
+/// sim::Engine's clock and stats bookkeeping over the ReferenceQueue: the
+/// model the calendar-backed Engine must match event for event.
+class ModelEngine {
+ public:
+  using Callback = std::function<void()>;
+
+  SimTime now() const { return now_; }
+  EventId schedule_at(SimTime t, Callback cb) {
+    const EventId id = next_id_++;
+    ++stats_.scheduled;
+    queue_.schedule(t, id, std::move(cb));
+    return id;
+  }
+  bool cancel(EventId id) {
+    const bool cancelled = queue_.cancel(id);
+    if (cancelled) ++stats_.cancelled;
+    return cancelled;
+  }
+  void run_until(SimTime end) {
+    SimTime t = 0.0;
+    EventId id = 0;
+    Callback cb;
+    while (queue_.pop_due(end, &t, &id, &cb)) {
+      now_ = t;
+      ++stats_.fired;
+      cb();
+      cb = nullptr;
+    }
+    now_ = end;
+  }
+  void run() { run_until(std::numeric_limits<SimTime>::max()); }
+  std::size_t pending() const { return queue_.live(); }
+  SimTime next_time() { return queue_.next_time(); }
+  const EngineStats& stats() const { return stats_; }
+
+ private:
+  SimTime now_ = 0.0;
+  EventId next_id_ = 1;
+  EngineStats stats_;
+  ReferenceQueue queue_;
+};
 
 struct Trace {
   std::vector<double> fire_times;
@@ -29,6 +73,7 @@ struct Trace {
   std::vector<double> clock_probes;
   std::vector<bool> cancel_results;
   std::vector<std::size_t> pending_probes;
+  std::vector<double> next_time_probes;
   std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
   std::uint64_t cancelled = 0;
@@ -48,9 +93,10 @@ double next_offset(Rng& rng) {
   return rng.uniform(1e4, 1e7);  // far-future outlier
 }
 
-Trace run_episode(Engine::QueueImpl impl, std::uint64_t seed, int max_schedules) {
+template <typename E>
+Trace run_episode(std::uint64_t seed, int max_schedules) {
   Rng rng(seed);
-  Engine e(impl);
+  E e;
   Trace tr;
   std::vector<EventId> ids;  // every id ever issued — fired/cancelled stay in
   int budget = max_schedules;
@@ -69,6 +115,7 @@ Trace run_episode(Engine::QueueImpl impl, std::uint64_t seed, int max_schedules)
             rng.uniform_int(0, static_cast<int>(ids.size()) - 1))];
         tr.cancel_results.push_back(e.cancel(victim));
       }
+      if (rng.bernoulli(0.2)) tr.next_time_probes.push_back(e.next_time());  // peek-during-fire
     });
     ids.push_back(*idp);
   };
@@ -99,6 +146,7 @@ Trace run_episode(Engine::QueueImpl impl, std::uint64_t seed, int max_schedules)
       tr.clock_probes.push_back(e.now());
     } else {
       tr.pending_probes.push_back(e.pending());
+      tr.next_time_probes.push_back(e.next_time());
     }
   }
   e.run();
@@ -112,13 +160,14 @@ Trace run_episode(Engine::QueueImpl impl, std::uint64_t seed, int max_schedules)
 }
 
 void expect_identical(std::uint64_t seed, int max_schedules) {
-  const Trace cal = run_episode(Engine::QueueImpl::Calendar, seed, max_schedules);
-  const Trace ref = run_episode(Engine::QueueImpl::BinaryHeap, seed, max_schedules);
+  const Trace cal = run_episode<Engine>(seed, max_schedules);
+  const Trace ref = run_episode<ModelEngine>(seed, max_schedules);
   ASSERT_EQ(cal.fire_ids, ref.fire_ids) << "seed " << seed;
   EXPECT_EQ(cal.fire_times, ref.fire_times) << "seed " << seed;
   EXPECT_EQ(cal.clock_probes, ref.clock_probes) << "seed " << seed;
   EXPECT_EQ(cal.cancel_results, ref.cancel_results) << "seed " << seed;
   EXPECT_EQ(cal.pending_probes, ref.pending_probes) << "seed " << seed;
+  EXPECT_EQ(cal.next_time_probes, ref.next_time_probes) << "seed " << seed;
   EXPECT_TRUE(cal == ref) << "seed " << seed;
   // Sanity on the episode itself: non-trivial and internally consistent.
   EXPECT_EQ(cal.scheduled, cal.fired + cal.cancelled + cal.final_pending) << "seed " << seed;
@@ -156,23 +205,17 @@ INSTANTIATE_TEST_SUITE_P(Shards, DifferentialWide, ::testing::Range(0, 8));
 
 // --- Calendar-specific structural coverage ---------------------------------
 
-const CalendarStats& cal_stats(const Engine& e) {
-  const CalendarStats* s = e.calendar_stats();
-  EXPECT_NE(s, nullptr);
-  return *s;
-}
-
 TEST(CalendarQueue, GrowsAndShrinksAcrossLoad) {
-  Engine e;  // default = calendar
+  Engine e;
   std::vector<EventId> ids;
   for (int i = 0; i < 5000; ++i)
     ids.push_back(e.schedule_at(0.001 * i, [] {}));
-  EXPECT_GT(cal_stats(e).buckets, 16u);  // grew past kMinBuckets
-  EXPECT_GT(cal_stats(e).resizes, 0u);
-  EXPECT_EQ(cal_stats(e).peak_live, 5000u);
+  EXPECT_GT(e.calendar_stats().buckets, 16u);  // grew past kMinBuckets
+  EXPECT_GT(e.calendar_stats().resizes, 0u);
+  EXPECT_EQ(e.calendar_stats().peak_live, 5000u);
   e.run();
   EXPECT_EQ(e.pending(), 0u);
-  EXPECT_EQ(cal_stats(e).buckets, 16u);  // shrank back after the drain
+  EXPECT_EQ(e.calendar_stats().buckets, 16u);  // shrank back after the drain
 }
 
 TEST(CalendarQueue, SameTimestampPileFiresInScheduleOrder) {
@@ -195,7 +238,7 @@ TEST(CalendarQueue, SparseTailUsesDirectSearch) {
   e.schedule_at(5.0e6, [&] { fired.push_back(e.now()); });  // years of empty buckets
   e.run();
   EXPECT_EQ(fired, (std::vector<double>{0.0, 5.0e6}));
-  EXPECT_GT(cal_stats(e).direct_searches, 0u);
+  EXPECT_GT(e.calendar_stats().direct_searches, 0u);
 }
 
 TEST(CalendarQueue, FarFutureAndInfiniteTimesAreOrderedCorrectly) {
@@ -227,19 +270,10 @@ TEST(CalendarQueue, CancelEverythingThenReuse) {
   EXPECT_EQ(e.stats().cancelled, 200u);
 }
 
-TEST(CalendarQueue, QueueImplIsReported) {
-  Engine cal;
-  Engine heap(Engine::QueueImpl::BinaryHeap);
-  EXPECT_EQ(cal.queue_impl(), Engine::QueueImpl::Calendar);
-  EXPECT_EQ(heap.queue_impl(), Engine::QueueImpl::BinaryHeap);
-  EXPECT_NE(cal.calendar_stats(), nullptr);
-  EXPECT_EQ(heap.calendar_stats(), nullptr);
-}
-
 TEST(CalendarQueue, ReferenceEngineHonorsSameContract) {
   // The reference model itself must satisfy the Engine contract the rest of
-  // the suite checks on the default engine; spot-check the basics.
-  Engine e(Engine::QueueImpl::BinaryHeap);
+  // the suite checks on sim::Engine; spot-check the basics.
+  ModelEngine e;
   std::vector<int> order;
   e.schedule_at(1.0, [&] { order.push_back(1); });
   e.schedule_at(1.0, [&] { order.push_back(2); });

@@ -139,6 +139,42 @@ TEST(ExpConfig, RejectsLanesBelowOne) {
   EXPECT_EQ(exp::ExperimentConfig::from_json(v).lanes, 3);
 }
 
+/// Parse `doc` as an ExperimentConfig and expect a runtime_error whose
+/// message contains every one of `needles`.
+void expect_config_error(const std::string& doc, const std::vector<std::string>& needles) {
+  try {
+    exp::ExperimentConfig::from_json(json::Value::parse(doc));
+    FAIL() << "config must be rejected: " << doc;
+  } catch (const std::runtime_error& e) {
+    for (const std::string& n : needles)
+      EXPECT_NE(std::string(e.what()).find(n), std::string::npos) << e.what();
+  }
+}
+
+TEST(ExpConfig, RejectsInfiniteSeed) {
+  expect_config_error(R"({"seed": 1e999})", {"'seed'", "got inf"});
+}
+
+TEST(ExpConfig, RejectsLanesBeyondAnyInteger) {
+  expect_config_error(R"({"lanes": 1e30})", {"'lanes'", "got 1e+30"});
+}
+
+TEST(ExpConfig, RejectsFractionalSeed) {
+  expect_config_error(R"({"seed": 7.9})", {"'seed'", "got 7.9"});
+  EXPECT_EQ(exp::ExperimentConfig::from_json(json::Value::parse(R"({"seed": 7.0})")).seed, 7u);
+}
+
+TEST(ExpConfig, RejectsSeedLiteralThatOverflows) {
+  expect_config_error(R"({"seed": 99999999999999999999})",
+                      {"json parse error", "99999999999999999999"});
+}
+
+TEST(ExpConfig, RejectsIntKnobOutsideIntRange) {
+  // 2^32 + 1 would truncate to max_retries = 1.
+  expect_config_error(R"({"platform": {"max_retries": 4294967297}})",
+                      {"'max_retries'", "got 4294967297"});
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;

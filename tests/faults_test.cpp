@@ -9,19 +9,17 @@
 #include "cluster/cluster.hpp"
 #include "faults/fault_injector.hpp"
 #include "serverless/platform.hpp"
+#include "serverless/platform_view.hpp"
 #include "sim/engine.hpp"
 
 namespace smiless::serverless {
 namespace {
 
-// Deliberately still overrides the deprecated Platform& hooks (on_deploy and
-// on_instance_failed below): shim-path coverage for the one-release
-// migration window (policy.hpp).
 class FixedPolicy : public Policy {
  public:
   explicit FixedPolicy(FunctionPlan plan) : plan_(plan) {}
   std::string name() const override { return "fixed"; }
-  void on_deploy(AppId app, const apps::App& spec, Platform& p) override {
+  void on_deploy(AppId app, const apps::App& spec, PlatformView& p) override {
     for (std::size_t n = 0; n < spec.dag.size(); ++n)
       p.set_plan(app, static_cast<dag::NodeId>(n), plan_);
   }
@@ -34,7 +32,7 @@ class FixedPolicy : public Policy {
 class RecordingPolicy : public FixedPolicy {
  public:
   using FixedPolicy::FixedPolicy;
-  void on_instance_failed(AppId, const apps::App&, Platform&, dag::NodeId node,
+  void on_instance_failed(AppId, const apps::App&, PlatformView&, dag::NodeId node,
                           InstanceFailure kind) override {
     failures.push_back({node, kind});
   }

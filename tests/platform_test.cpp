@@ -5,19 +5,18 @@
 #include "apps/catalog.hpp"
 #include "cluster/cluster.hpp"
 #include "serverless/platform.hpp"
+#include "serverless/platform_view.hpp"
 #include "sim/engine.hpp"
 
 namespace smiless::serverless {
 namespace {
 
 /// Static test policy: installs a fixed plan for every function.
-// Deliberately still overrides the deprecated Platform& hook: this suite is
-// the coverage for the one-release migration shims (policy.hpp).
 class FixedPolicy : public Policy {
  public:
   explicit FixedPolicy(FunctionPlan plan) : plan_(plan) {}
   std::string name() const override { return "fixed"; }
-  void on_deploy(AppId app, const apps::App& spec, Platform& p) override {
+  void on_deploy(AppId app, const apps::App& spec, PlatformView& p) override {
     for (std::size_t n = 0; n < spec.dag.size(); ++n)
       p.set_plan(app, static_cast<dag::NodeId>(n), plan_);
   }

@@ -287,13 +287,27 @@ TEST(ServeEquivalence, EquivalenceHoldsUnderFaults) {
   EXPECT_EQ(fingerprint(live.cell.result), fingerprint(des.result));
 }
 
-TEST(ServeEquivalence, ServeRejectsShardedConfigs) {
+TEST(ServeEquivalence, ShardedConfigServesLikeOneLane) {
+  // A serve config holds one app, so any lane count populates exactly one
+  // lane: lanes = 4 streams the same events and books as lanes = 1.
   auto config = small_cell();
-  config.lanes = 4;
   exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
-  EXPECT_THROW(
-      exp::serve(config, runner.profiles(config.profile_seed), runner.policy_pool(), {}),
-      std::runtime_error);
+  const auto& store = runner.profiles(config.profile_seed);
+  const auto serve_at = [&](int lanes, std::ostringstream& stream) {
+    config.lanes = lanes;
+    exp::ServeOptions sopt;
+    sopt.speedup = 1e9;
+    sopt.stream = &stream;
+    return exp::serve(config, store, runner.policy_pool(), sopt);
+  };
+  std::ostringstream one_stream;
+  std::ostringstream four_stream;
+  const exp::ServeReport one = serve_at(1, one_stream);
+  const exp::ServeReport four = serve_at(4, four_stream);
+  EXPECT_FALSE(four.interrupted);
+  EXPECT_EQ(fingerprint(four.cell.result), fingerprint(one.cell.result));
+  EXPECT_FALSE(one_stream.str().empty());
+  EXPECT_EQ(four_stream.str(), one_stream.str());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@
 namespace smiless::sim {
 namespace {
 
-class NextTime : public ::testing::TestWithParam<Engine::QueueImpl> {};
-
-TEST_P(NextTime, PeeksTheEarliestLiveEventWithoutPopping) {
-  Engine e(GetParam());
+TEST(NextTime, PeeksTheEarliestLiveEventWithoutPopping) {
+  Engine e;
   EXPECT_TRUE(std::isinf(e.next_time()));
   e.schedule_at(3.0, [] {});
   const EventId first = e.schedule_at(1.0, [] {});
@@ -28,10 +26,6 @@ TEST_P(NextTime, PeeksTheEarliestLiveEventWithoutPopping) {
   e.run_until(5.0);
   EXPECT_TRUE(std::isinf(e.next_time()));
 }
-
-INSTANTIATE_TEST_SUITE_P(BothQueues, NextTime,
-                         ::testing::Values(Engine::QueueImpl::Calendar,
-                                           Engine::QueueImpl::BinaryHeap));
 
 TEST(ImmediateClock, NeverDelaysOrInterrupts) {
   ImmediateClock clock;

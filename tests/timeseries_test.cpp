@@ -124,14 +124,12 @@ TEST(TimeSeries, CadenceRoundTripsThroughExperimentConfigJson) {
   c.obs.report_out = "report.html";
   c.obs.profile_out = "profile.json";
   c.obs.series_cadence = 7.5;
-  c.obs.internal_stats = true;
 
   const exp::ExperimentConfig back = exp::ExperimentConfig::from_json(c.to_json());
   EXPECT_EQ(back.obs.series_out, "series.json");
   EXPECT_EQ(back.obs.report_out, "report.html");
   EXPECT_EQ(back.obs.profile_out, "profile.json");
   EXPECT_EQ(back.obs.series_cadence, 7.5);
-  EXPECT_TRUE(back.obs.internal_stats);
   EXPECT_TRUE(back.obs.collect());
   EXPECT_TRUE(back.obs.profile());
 
@@ -139,7 +137,6 @@ TEST(TimeSeries, CadenceRoundTripsThroughExperimentConfigJson) {
   const exp::ExperimentConfig blank =
       exp::ExperimentConfig::from_json(exp::ExperimentConfig{}.to_json());
   EXPECT_EQ(blank.obs.series_cadence, 1.0);
-  EXPECT_FALSE(blank.obs.internal_stats);
   EXPECT_FALSE(blank.obs.profile());
 
   // The new knobs never split aggregation groups: obs is excluded wholesale.

@@ -53,8 +53,6 @@
 //                           profiler breakdown; opens offline from file://)
 //     --profile-out <file>  runtime self-profiler JSON (wall-clock scope
 //                           breakdown + sampled internal counters)
-//     --internal-stats      mirror calendar-queue internals into metrics-out
-//                           (lane-revealing: they depend on the lane split)
 //
 //   Fault injection (all off by default; see DESIGN.md "Failure model"):
 //     --fault-init-p <p>        container init failure probability
@@ -122,7 +120,6 @@ struct CliOptions {
                "       [--audit-out file.json] [--windows-out file.csv]\n"
                "       [--series-out file.json] [--series-cadence S]\n"
                "       [--report-out file.html] [--profile-out file.json]\n"
-               "       [--internal-stats]\n"
                "       [--fault-init-p P] [--fault-straggler-p P] [--fault-straggler-x F]\n"
                "       [--fault-crash M@T:D]... [--fault-crash-rate R] [--fault-mttr S]\n"
                "       [--timeout S] [--max-retries N]\n";
@@ -215,7 +212,6 @@ CliOptions parse_cli(int argc, char** argv) {
     }
     else if (!std::strcmp(arg, "--report-out")) o.config.obs.report_out = need_value(i);
     else if (!std::strcmp(arg, "--profile-out")) o.config.obs.profile_out = need_value(i);
-    else if (!std::strcmp(arg, "--internal-stats")) o.config.obs.internal_stats = true;
     else if (!std::strcmp(arg, "--fault-init-p"))
       o.config.faults.init_failure_prob = std::atof(need_value(i));
     else if (!std::strcmp(arg, "--fault-straggler-p"))
@@ -366,7 +362,6 @@ int run_sweep(const CliOptions& cli) {
     grid.base.obs.profile_out = cli.config.obs.profile_out;
   if (cli.config.obs.series_cadence != 1.0)
     grid.base.obs.series_cadence = cli.config.obs.series_cadence;
-  if (cli.config.obs.internal_stats) grid.base.obs.internal_stats = true;
   const auto cells_cfg = grid.expand();
   std::cerr << "[exp] sweep " << cli.sweep_file << ": " << cells_cfg.size() << " cells, "
             << (cli.runner.threads == 0 ? std::string("hw") : std::to_string(cli.runner.threads))
