@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -473,6 +474,20 @@ class Value {
   Array array_;
   Object object_;
 };
+
+/// Throw unless `v` is an object whose every key is one of `known`. Each
+/// config reader calls this first, so a misspelt key is an error naming the
+/// key and the object (`json: unknown key 'seeed' in config`) instead of a
+/// knob that silently keeps its default.
+inline void expect_keys(const Value& v, const std::string& object,
+                        std::initializer_list<std::string_view> known) {
+  if (!v.is_object()) throw std::runtime_error("json: " + object + " must be an object");
+  for (const Value::Member& m : v.members()) {
+    bool found = false;
+    for (const std::string_view k : known) found = found || k == m.first;
+    if (!found) throw std::runtime_error("json: unknown key '" + m.first + "' in " + object);
+  }
+}
 
 /// Read a whole file into a parsed document; throws std::runtime_error with
 /// the path on failure.

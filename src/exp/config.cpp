@@ -39,6 +39,9 @@ json::Value TraceSpec::to_json() const {
 }
 
 TraceSpec TraceSpec::from_json(const json::Value& v) {
+  json::expect_keys(v, "trace",
+                    {"kind", "duration", "seed", "interval", "jitter", "quiet_rate", "peak_rate",
+                     "file"});
   TraceSpec t;
   t.kind = v.get("kind", t.kind);
   t.duration = v.get("duration", t.duration);
@@ -65,6 +68,9 @@ json::Value ObservabilityOptions::to_json() const {
 }
 
 ObservabilityOptions ObservabilityOptions::from_json(const json::Value& v) {
+  json::expect_keys(v, "observability",
+                    {"trace_out", "metrics_out", "audit_out", "windows_out", "series_out",
+                     "report_out", "profile_out", "series_cadence"});
   ObservabilityOptions o;
   o.trace_out = v.get("trace_out", o.trace_out);
   o.metrics_out = v.get("metrics_out", o.metrics_out);
@@ -101,6 +107,9 @@ json::Value ExperimentConfig::to_json() const {
 }
 
 ExperimentConfig ExperimentConfig::from_json(const json::Value& v) {
+  json::expect_keys(v, "config",
+                    {"label", "app", "policy", "sla", "use_lstm", "seed", "profile_seed",
+                     "drain_slack", "lanes", "trace", "platform", "faults", "observability"});
   ExperimentConfig c;
   c.label = v.get("label", c.label);
   c.app = v.get("app", c.app);
@@ -258,10 +267,14 @@ json::Value ExperimentGrid::to_json() const {
 }
 
 ExperimentGrid ExperimentGrid::from_json(const json::Value& v) {
+  json::expect_keys(v, "grid", {"base", "axes"});
   ExperimentGrid g;
   if (const json::Value* b = v.find("base")) g.base = ExperimentConfig::from_json(*b);
   const json::Value* axes = v.find("axes");
   if (axes == nullptr) return g;
+  json::expect_keys(*axes, "axes",
+                    {"apps", "policies", "slas", "durations", "init_failure_probs",
+                     "straggler_probs", "crash_rates", "use_lstms", "seeds", "lanes"});
   const auto strings = [&](const char* key, std::vector<std::string>& out) {
     if (const json::Value* a = axes->find(key))
       for (const auto& x : a->items()) out.push_back(x.as_string());

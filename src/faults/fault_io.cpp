@@ -24,6 +24,9 @@ json::Value to_json(const FaultSpec& spec) {
 }
 
 FaultSpec fault_spec_from_json(const json::Value& v) {
+  json::expect_keys(v, "faults",
+                    {"init_failure_prob", "straggler_prob", "straggler_factor", "crash_rate",
+                     "mttr", "crash_horizon", "crashes", "salt"});
   FaultSpec spec;
   spec.init_failure_prob = v.get("init_failure_prob", spec.init_failure_prob);
   spec.straggler_prob = v.get("straggler_prob", spec.straggler_prob);
@@ -33,6 +36,8 @@ FaultSpec fault_spec_from_json(const json::Value& v) {
   spec.crash_horizon = v.get("crash_horizon", spec.crash_horizon);
   if (const json::Value* crashes = v.find("crashes")) {
     for (const auto& e : crashes->items()) {
+      json::expect_keys(e, "faults.crashes[" + std::to_string(spec.crashes.size()) + "]",
+                        {"machine", "at", "duration"});
       ScheduledCrash c;
       c.machine = e.get("machine", c.machine);
       c.at = e.get("at", c.at);

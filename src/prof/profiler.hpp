@@ -59,7 +59,7 @@ enum class Site : int {
   EngineRun,       ///< sim::Engine::run_until dispatch loop
   EngineSchedule,  ///< calendar-queue insert (Engine::schedule_at)
   EngineCancel,    ///< calendar-queue cancel (Engine::cancel)
-  GatewayWindow,   ///< Gateway::window_tick bookkeeping (minus the solver)
+  GatewayWindow,   ///< Gateway::close_window: one app's window (minus the solver)
   PolicyWindow,    ///< Policy::on_window solver call inside the tick
   Dispatch,        ///< FunctionScheduler::dispatch (queues -> batches)
   PoolCreate,      ///< InstancePool::create_instance (cold-start issue)

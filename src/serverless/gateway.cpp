@@ -31,22 +31,33 @@ const Gateway::AppWindows& Gateway::windows(AppId app) const {
   return apps_[app];
 }
 
-void Gateway::add_app() {
-  apps_.emplace_back();
-  apps_.back().next_end = engine_.now() + options_.window_seconds;
-}
+void Gateway::add_app() { apps_.emplace_back(); }
 
 void Gateway::start(AppId app) {
-  engine_.schedule_at(windows(app).next_end, [this, app] { window_tick(app); });
+  if (grids_.empty() || grids_.back().opened != engine_.now()) {
+    WindowGrid& grid = grids_.emplace_back();
+    grid.opened = engine_.now();
+    grid.next_end = engine_.now() + options_.window_seconds;
+    engine_.schedule_at(grid.next_end, [this, &grid] { window_tick(grid); });
+  }
+  grids_.back().apps.push_back(app);
 }
 
-void Gateway::window_tick(AppId app) {
+void Gateway::window_tick(WindowGrid& grid) {
   if (halted_) return;  // engine may still drain ticks after finalize()
+  // A deploy from on_window opens a new grid (its instant is not this
+  // grid's), so this app list cannot grow while it ticks.
+  for (const AppId app : grid.apps) close_window(app, grid.next_end);
+  grid.next_end += options_.window_seconds;
+  engine_.schedule_at(grid.next_end, [this, &grid] { window_tick(grid); });
+}
+
+void Gateway::close_window(AppId app, SimTime end) {
   prof::ScopeTimer scope(options_.prof, prof::Site::GatewayWindow);
   auto& w = windows(app);
   WindowStats stats;
-  stats.window_end = w.next_end;
-  stats.window_start = w.next_end - options_.window_seconds;
+  stats.window_end = end;
+  stats.window_start = end - options_.window_seconds;
   stats.arrivals = w.current_arrivals;
   w.counts.push_back(w.current_arrivals);
 
@@ -60,13 +71,11 @@ void Gateway::window_tick(AppId app) {
   ledger_.books(app).windows.push_back(sample);
 
   w.current_arrivals = 0;
-  w.next_end += options_.window_seconds;
   PlatformView view(*platform_);
   {
     prof::ScopeTimer solver(options_.prof, prof::Site::PolicyWindow);
     table_.policy(app).on_window(app, table_.spec(app), view, stats);
   }
-  engine_.schedule_at(w.next_end, [this, app] { window_tick(app); });
 }
 
 void Gateway::submit(AppId app, SimTime arrival) {

@@ -19,13 +19,15 @@ class Platform;
 class RequestTracker;
 struct PlatformOptions;
 
-/// Gateway — arrival intake and the per-app window ticker. Single
-/// responsibility: accept request submissions, count arrivals per counting
-/// window (§IV-B: "a specified time window, which is set to one second"),
-/// snapshot a WindowSample into the Ledger at each boundary, and deliver
-/// WindowStats to the policy. Publishes obs: RequestSubmitted is published
-/// downstream by the RequestTracker it admits into; the Gateway itself
-/// publishes nothing.
+/// Gateway — arrival intake and the window ticker. Single responsibility:
+/// accept request submissions, count arrivals per counting window (§IV-B:
+/// "a specified time window, which is set to one second"), snapshot a
+/// WindowSample into the Ledger at each boundary, and deliver WindowStats to
+/// the policy. Apps deployed at the same instant close their windows at the
+/// same instants, so they share one self-rescheduling tick event that closes
+/// each app's window in deploy order. Publishes obs: RequestSubmitted is
+/// published downstream by the RequestTracker it admits into; the Gateway
+/// itself publishes nothing.
 class Gateway {
  public:
   Gateway(sim::Engine& engine, const PlatformOptions& options, const AppTable& table,
@@ -34,10 +36,12 @@ class Gateway {
   /// Late binding of the collaborators (the facade wires the cycle).
   void wire(Platform* platform, RequestTracker* tracker, InstancePool* pool);
 
-  /// Open the books for a newly deployed app: the first window starts now.
+  /// Open the books for a newly deployed app.
   void add_app();
-  /// Schedule the first window tick (called after Policy::on_deploy so the
-  /// deploy-time plan installation precedes any window event).
+  /// Start the app's windows: the first one starts now. The app joins the
+  /// tick of apps deployed at this instant, or schedules a tick of its own
+  /// (called after Policy::on_deploy so the deploy-time plan installation
+  /// precedes any window event).
   void start(AppId app);
 
   /// Schedule a user request for `app` at absolute time `arrival`.
@@ -54,10 +58,16 @@ class Gateway {
   struct AppWindows {
     std::vector<int> counts;  ///< finished windows
     int current_arrivals = 0;
+  };
+  /// Apps deployed at one instant: their windows end together.
+  struct WindowGrid {
+    SimTime opened = 0.0;  ///< the deploy instant
     SimTime next_end = 0.0;
+    std::vector<AppId> apps;  ///< deploy order
   };
 
-  void window_tick(AppId app);
+  void window_tick(WindowGrid& grid);
+  void close_window(AppId app, SimTime end);
   AppWindows& windows(AppId app);
   const AppWindows& windows(AppId app) const;
 
@@ -69,6 +79,7 @@ class Gateway {
   RequestTracker* tracker_ = nullptr;
   InstancePool* pool_ = nullptr;
   std::deque<AppWindows> apps_;  // by AppId; deque: stable arrival_counts refs
+  std::deque<WindowGrid> grids_;  // deque: the tick events hold grid refs
   bool halted_ = false;
 };
 

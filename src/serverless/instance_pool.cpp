@@ -58,10 +58,6 @@ std::vector<Instance>& InstancePool::instances(AppId app, dag::NodeId node) {
 }
 
 void InstancePool::claim(Instance& inst) {
-  if (inst.kill_timer != 0) {
-    engine_.cancel(inst.kill_timer);
-    inst.kill_timer = 0;
-  }
   inst.kill_at = std::numeric_limits<SimTime>::infinity();
   inst.st = InstanceState::Busy;
   inst.served = true;
@@ -245,18 +241,39 @@ void InstancePool::on_instance_idle(AppId app, dag::NodeId node, InstanceId inst
     terminate_instance(app, node, instance_id);
     return;
   }
-  if (std::isfinite(effective_keepalive) && it->kill_timer == 0) {
+  if (std::isfinite(effective_keepalive)) {
     it->kill_at = engine_.now() + effective_keepalive;
-    it->kill_timer = engine_.schedule_after(effective_keepalive, [this, app, node, instance_id] {
-      auto& fs = fn(app, node);
-      auto inst = std::find_if(fs.instances.begin(), fs.instances.end(),
-                               [&](const Instance& i) { return i.id == instance_id; });
-      if (inst == fs.instances.end() || inst->st != InstanceState::Idle) return;
-      inst->kill_timer = 0;
-      if (static_cast<int>(fs.instances.size()) > scheduler_->plan(app, node).min_instances)
-        terminate_instance(app, node, instance_id);
-    });
+    arm_reap(app, node, *it);
   }
+}
+
+void InstancePool::arm_reap(AppId app, dag::NodeId node, Instance& inst) {
+  if (inst.kill_timer != 0) {
+    // A timer due no later than kill_at re-arms itself when it fires; only
+    // a keep-alive that shrank below it costs a cancel.
+    if (inst.kill_timer_at <= inst.kill_at) return;
+    engine_.cancel(inst.kill_timer);
+  }
+  inst.kill_timer_at = inst.kill_at;
+  inst.kill_timer = engine_.schedule_at(
+      inst.kill_at, [this, app, node, id = inst.id] { on_reap_timer(app, node, id); });
+}
+
+void InstancePool::on_reap_timer(AppId app, dag::NodeId node, InstanceId instance_id) {
+  auto& f = fn(app, node);
+  auto it = std::find_if(f.instances.begin(), f.instances.end(),
+                         [&](const Instance& i) { return i.id == instance_id; });
+  if (it == f.instances.end()) return;
+  it->kill_timer = 0;
+  // Busy, or kept forever since: the next idle transition arms a new timer.
+  if (it->st != InstanceState::Idle || !std::isfinite(it->kill_at)) return;
+  // Reused since the timer was armed: follow the later reap time.
+  if (engine_.now() < it->kill_at) {
+    arm_reap(app, node, *it);
+    return;
+  }
+  if (static_cast<int>(f.instances.size()) > scheduler_->plan(app, node).min_instances)
+    terminate_instance(app, node, instance_id);
 }
 
 void InstancePool::retire_accounting(AppId app, dag::NodeId node, const Instance& inst) {

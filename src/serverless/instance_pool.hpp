@@ -49,8 +49,9 @@ class InstancePool {
   /// The live instance list warm_first_pick selects from.
   std::vector<Instance>& instances(AppId app, dag::NodeId node);
 
-  /// Claim an idle instance for a batch: cancel its reap timer and flip it
-  /// Busy (the scheduler forms the batch).
+  /// Claim an idle instance for a batch: flip it Busy (the scheduler forms
+  /// the batch). No engine call: a pending reap timer stays armed and, when
+  /// it fires, drops itself or re-arms at the instance's new kill_at.
   void claim(Instance& inst);
 
   /// Force-create one instance now (cold). Returns nullptr if the cluster
@@ -92,9 +93,13 @@ class InstancePool {
   Census census(AppId app) const;
 
  private:
+  struct PrewarmHandle {
+    SimTime at = 0.0;  ///< when the timer fires
+    sim::EventId id = 0;
+  };
   struct FnPool {
     std::vector<Instance> instances;
-    std::vector<sim::EventId> prewarms;
+    std::vector<PrewarmHandle> prewarms;  ///< exactly the pending pre-warm timers
     InstanceId next_instance_id = 0;
     bool retry_scheduled = false;
     int retry_attempts = 0;  // consecutive failed cold starts (alloc or init)
@@ -106,6 +111,9 @@ class InstancePool {
   void on_init_done(AppId app, dag::NodeId node, InstanceId instance_id);
   void on_init_failed(AppId app, dag::NodeId node, InstanceId instance_id);
   void on_instance_idle(AppId app, dag::NodeId node, InstanceId instance_id);
+  /// Make sure a reap timer fires no later than the idle instance's kill_at.
+  void arm_reap(AppId app, dag::NodeId node, Instance& inst);
+  void on_reap_timer(AppId app, dag::NodeId node, InstanceId instance_id);
   void terminate_instance(AppId app, dag::NodeId node, InstanceId instance_id);
   /// Bill an instance up to now and return its grant to the cluster.
   void retire_accounting(AppId app, dag::NodeId node, const Instance& inst);

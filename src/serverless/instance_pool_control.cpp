@@ -95,7 +95,16 @@ sim::EventId InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_
   auto& f = fn(app, node);
   const SimTime at = std::max(init_start, engine_.now());
   const sim::EventId id = engine_.schedule_at(at, [this, app, node] {
+    if (halted_) return;
     auto& fs = fn(app, node);
+    // A fired timer drops its own handle, so the list holds exactly the
+    // pending ones for clear_prewarms and finalize to cancel. Timers due
+    // at one instant fire in scheduling order, which is list order, so the
+    // first handle due now is this timer's.
+    const auto self = std::find_if(fs.prewarms.begin(), fs.prewarms.end(),
+                                   [&](const PrewarmHandle& h) { return h.at == engine_.now(); });
+    SMILESS_CHECK(self != fs.prewarms.end());
+    fs.prewarms.erase(self);
     const FunctionPlan& plan = scheduler_->plan(app, node);
     // Skip only if an existing instance is expected to still be warm when
     // the pre-warmed one would become ready — otherwise a short-lived
@@ -133,18 +142,22 @@ sim::EventId InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_
                              .node = node});
     create_instance(app, node, plan.config);
   });
-  f.prewarms.push_back(id);
-  // Bound growth of the handle list.
-  if (f.prewarms.size() > 64)
-    f.prewarms.erase(f.prewarms.begin(), f.prewarms.begin() + 32);
+  f.prewarms.push_back({at, id});
   return id;
 }
 
-void InstancePool::cancel_prewarm(sim::EventId id) { engine_.cancel(id); }
+void InstancePool::cancel_prewarm(sim::EventId id) {
+  // A handle that already fired or was cancelled has left its list.
+  if (!engine_.cancel(id)) return;
+  for (auto& fns : apps_)
+    for (auto& f : fns)
+      if (std::erase_if(f.prewarms, [id](const PrewarmHandle& h) { return h.id == id; }) > 0)
+        return;
+}
 
 void InstancePool::clear_prewarms(AppId app, dag::NodeId node) {
   auto& f = fn(app, node);
-  for (sim::EventId ev : f.prewarms) engine_.cancel(ev);
+  for (const PrewarmHandle& h : f.prewarms) engine_.cancel(h.id);
   f.prewarms.clear();
 }
 
@@ -175,7 +188,7 @@ void InstancePool::finalize(SimTime end) {
         cluster_.release(inst.alloc);
       }
       f.instances.clear();
-      for (sim::EventId ev : f.prewarms) engine_.cancel(ev);
+      for (const PrewarmHandle& h : f.prewarms) engine_.cancel(h.id);
       f.prewarms.clear();
     }
   }

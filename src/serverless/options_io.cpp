@@ -16,6 +16,9 @@ json::Value to_json(const PlatformOptions& o) {
 }
 
 PlatformOptions platform_options_from_json(const json::Value& v) {
+  json::expect_keys(v, "platform",
+                    {"window_seconds", "inference_noise", "retry_delay", "retry_backoff",
+                     "retry_max_delay", "max_retries", "request_timeout", "record_traces"});
   PlatformOptions o;
   o.window_seconds = v.get("window_seconds", o.window_seconds);
   o.inference_noise = v.get("inference_noise", o.inference_noise);

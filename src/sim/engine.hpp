@@ -43,8 +43,9 @@ class Engine {
   SimTime now() const { return now_; }
 
   /// Schedule `cb` at absolute sim time `t` (>= now). Returns a handle
-  /// usable with cancel(); the ContainerManager relies on this for pre-warm
-  /// and keep-alive timers.
+  /// usable with cancel(); the InstancePool cancels pre-warm timers with it,
+  /// and keep-alive reap timers when their instance is terminated, evicted
+  /// or finalized, or its keep-alive shrinks (a warm claim cancels nothing).
   EventId schedule_at(SimTime t, Callback cb);
 
   /// Schedule `cb` after `delay` seconds (>= 0).

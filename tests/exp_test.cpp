@@ -116,11 +116,13 @@ TEST(ExpConfig, WindowSecondsRoundTrips) {
   EXPECT_DOUBLE_EQ(back.platform.window_seconds, 2.5);
   EXPECT_EQ(back.to_json().dump(), c.to_json().dump());
   // The pre-rename "window" spelling is no longer accepted: an old config
-  // file silently falls back to the default instead of half-applying.
-  const auto legacy = exp::ExperimentConfig::from_json(
-      json::Value::parse(R"({"platform": {"window": 0.5}})"));
-  EXPECT_DOUBLE_EQ(legacy.platform.window_seconds,
-                   serverless::PlatformOptions{}.window_seconds);
+  // file is rejected, naming the key, instead of running on the default.
+  try {
+    exp::ExperimentConfig::from_json(json::Value::parse(R"({"platform": {"window": 0.5}})"));
+    FAIL() << "the legacy 'window' key must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "json: unknown key 'window' in platform");
+  }
 }
 
 TEST(ExpConfig, RejectsLanesBelowOne) {
@@ -175,6 +177,41 @@ TEST(ExpConfig, RejectsIntKnobOutsideIntRange) {
                       {"'max_retries'", "got 4294967297"});
 }
 
+TEST(ExpConfig, RejectsUnknownConfigKey) {
+  expect_config_error(R"({"app": "wl1", "seeed": 1})", {"unknown key 'seeed' in config"});
+}
+
+TEST(ExpConfig, RejectsUnknownTraceKey) {
+  expect_config_error(R"({"trace": {"kind": "poisson", "durration": 5}})",
+                      {"unknown key 'durration' in trace"});
+}
+
+TEST(ExpConfig, RejectsUnknownPlatformKey) {
+  expect_config_error(R"({"platform": {"window_secs": 2}})",
+                      {"unknown key 'window_secs' in platform"});
+}
+
+TEST(ExpConfig, RejectsUnknownObservabilityKey) {
+  // The key removed with the calendar-stats gate fails like any typo.
+  expect_config_error(R"({"observability": {"internal_stats": true}})",
+                      {"unknown key 'internal_stats' in observability"});
+}
+
+TEST(ExpConfig, RejectsUnknownFaultKey) {
+  expect_config_error(R"({"faults": {"crash_rat": 0.1}})",
+                      {"unknown key 'crash_rat' in faults"});
+}
+
+TEST(ExpConfig, RejectsUnknownCrashEntryKey) {
+  expect_config_error(
+      R"({"faults": {"crashes": [{"machine": 0, "at": 1, "duration": 2}, {"machine": 1, "when": 3}]}})",
+      {"unknown key 'when' in faults.crashes[1]"});
+}
+
+TEST(ExpConfig, RejectsNonObjectSection) {
+  expect_config_error(R"({"trace": 5})", {"trace must be an object"});
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;
@@ -223,6 +260,27 @@ TEST(ExpGrid, RejectsLanesBelowOne) {
   EXPECT_EQ(exp::ExperimentGrid::from_json(json::Value::parse(R"({"axes": {"lanes": [1, 4]}})"))
                 .lanes,
             (std::vector<int>{1, 4}));
+}
+
+/// Parse `doc` as an ExperimentGrid and expect a runtime_error containing
+/// `needle`.
+void expect_grid_error(const std::string& doc, const std::string& needle) {
+  try {
+    exp::ExperimentGrid::from_json(json::Value::parse(doc));
+    FAIL() << "grid must be rejected: " << doc;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(ExpGrid, RejectsUnknownGridKey) {
+  expect_grid_error(R"({"bas": {"app": "wl2"}})", "unknown key 'bas' in grid");
+  expect_grid_error(R"({"base": {"polcy": "orion"}})", "unknown key 'polcy' in config");
+}
+
+TEST(ExpGrid, RejectsUnknownAxis) {
+  expect_grid_error(R"({"axes": {"apps": ["wl1"], "seed": [1, 2]}})",
+                    "unknown key 'seed' in axes");
 }
 
 TEST(ExpRunner, RunCellMatchesDirectExperiment) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "apps/catalog.hpp"
 #include "cluster/cluster.hpp"
+#include "obs/event_bus.hpp"
 #include "serverless/platform.hpp"
 #include "serverless/platform_view.hpp"
 #include "sim/engine.hpp"
@@ -463,6 +466,239 @@ TEST(Platform, PrewarmSkippedWhileInstanceStillInitializing) {
   EXPECT_EQ(m.per_function[0].initializations, 1);
   EXPECT_EQ(f.platform->instances_total(id, 0), 1);
   f.platform->finalize(100.0);
+}
+
+TEST(Platform, ClearPrewarmsCancelsEveryQueuedTimer) {
+  // A hundred pre-warms queued on one function: clear_prewarms must cancel
+  // every one of them, not only the most recent handles.
+  Fixture f;
+  FunctionPlan plan = warm_plan();
+  plan.keepalive = 0.0;
+  plan.prewarm_grace = 1.0;
+  const auto id =
+      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
+  for (int i = 0; i < 100; ++i) f.platform->prewarm_at(id, 0, 10.0 + 100.0 * i);
+  f.platform->clear_prewarms(id, 0);
+  f.engine.run_until(20000.0);
+  EXPECT_EQ(f.platform->metrics(id).total_initializations(), 0);
+  f.platform->finalize(20000.0);
+}
+
+TEST(Platform, FinalizeCancelsEveryQueuedPrewarm) {
+  // After finalize no pre-warm may create (and bill) an instance, however
+  // many were queued and however long the engine keeps running.
+  Fixture f;
+  FunctionPlan plan = warm_plan();
+  plan.keepalive = 0.0;
+  plan.prewarm_grace = 1.0;
+  const auto id =
+      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
+  for (int i = 0; i < 100; ++i) f.platform->prewarm_at(id, 0, 10.0 + 100.0 * i);
+  f.platform->finalize(5.0);
+  f.engine.run_until(20000.0);
+  EXPECT_EQ(f.platform->metrics(id).total_initializations(), 0);
+  EXPECT_EQ(f.platform->metrics(id).total_cost(), 0.0);
+}
+
+/// One function (0.33 s inference, ~1.8 s init at 4 cores) on a platform
+/// whose event stream the keep-alive tests read.
+struct KeepaliveFixture {
+  sim::Engine engine;
+  cluster::Cluster cluster = cluster::Cluster::paper_testbed();
+  Rng rng{123};
+  obs::EventBus bus;
+  std::unique_ptr<Platform> platform;
+  AppId app = -1;
+
+  explicit KeepaliveFixture(double keepalive) {
+    PlatformOptions options;
+    options.inference_noise = 0.0;
+    options.bus = &bus;
+    platform = std::make_unique<Platform>(engine, cluster, perf::Pricing{}, rng, options);
+    FunctionPlan plan = warm_plan();
+    plan.keepalive = keepalive;
+    app = platform->deploy(apps::make_synthetic_pipeline(1, 2.0),
+                           std::make_shared<FixedPolicy>(plan));
+  }
+
+  void set_keepalive(double keepalive) {
+    FunctionPlan plan = platform->plan(app, 0);
+    plan.keepalive = keepalive;
+    platform->set_plan(app, 0, plan);
+  }
+
+  /// Sim times of every published event of `type`, in publish order.
+  std::vector<double> times(obs::EventType type) const {
+    std::vector<double> out;
+    for (const obs::Event& e : bus.events())
+      if (e.type == type) out.push_back(e.t);
+    return out;
+  }
+};
+
+TEST(Keepalive, ReusedInstanceIsReapedAtLastIdlePlusKeepalive) {
+  // Reused three times inside its 15 s keep-alive, the one instance lives on
+  // until exactly 15 s after its last batch ended. A reap timer armed at an
+  // earlier idle transition must not reap it early.
+  KeepaliveFixture f(15.0);
+  for (const double at : {1.0, 10.0, 20.0, 30.0}) f.platform->submit_request(f.app, at);
+  f.engine.run_until(200.0);
+
+  EXPECT_EQ(f.platform->metrics(f.app).completed.size(), 4u);
+  EXPECT_EQ(f.platform->metrics(f.app).total_initializations(), 1);
+  const auto ends = f.times(obs::EventType::BatchEnd);
+  const auto reaps = f.times(obs::EventType::InstanceTerminated);
+  ASSERT_EQ(ends.size(), 4u);
+  ASSERT_EQ(reaps.size(), 1u);
+  EXPECT_EQ(reaps[0], ends.back() + 15.0);
+  EXPECT_EQ(f.platform->instances_total(f.app, 0), 0);
+  f.platform->finalize(200.0);
+}
+
+TEST(Keepalive, WarmClaimCancelsNothing) {
+  // The instance is idle with its reap timer pending when the request
+  // arrives at 10.5; claiming it adds the batch-completion event and
+  // touches no other timer.
+  KeepaliveFixture f(15.0);
+  f.platform->submit_request(f.app, 1.0);
+  f.platform->submit_request(f.app, 10.5);
+  f.engine.run_until(10.4);
+  ASSERT_EQ(f.platform->instances_idle(f.app, 0), 1);
+  const sim::EngineStats before = f.engine.stats();
+  f.engine.run_until(10.5);
+  ASSERT_EQ(f.platform->instances_busy(f.app, 0), 1);
+  const sim::EngineStats after = f.engine.stats();
+  EXPECT_EQ(after.fired, before.fired + 1);          // the arrival
+  EXPECT_EQ(after.scheduled, before.scheduled + 1);  // its batch completion
+  EXPECT_EQ(after.cancelled, before.cancelled);
+  f.platform->finalize(10.5);
+}
+
+TEST(Keepalive, ShortenedKeepaliveReapsAtTheEarlierTime) {
+  // Idle under a 60 s keep-alive, then reused under a 5 s one: the reap
+  // comes 5 s after the second batch, not at the first timer's instant.
+  KeepaliveFixture f(60.0);
+  f.platform->submit_request(f.app, 1.0);
+  f.engine.run_until(10.0);
+  f.set_keepalive(5.0);
+  f.platform->submit_request(f.app, 20.0);
+  f.engine.run_until(200.0);
+
+  const auto ends = f.times(obs::EventType::BatchEnd);
+  const auto reaps = f.times(obs::EventType::InstanceTerminated);
+  ASSERT_EQ(ends.size(), 2u);
+  ASSERT_EQ(reaps.size(), 1u);
+  EXPECT_EQ(reaps[0], ends.back() + 5.0);
+  f.platform->finalize(200.0);
+}
+
+TEST(Keepalive, PlanSwitchedToForeverIsNeverReaped) {
+  // The timer armed under the 15 s keep-alive is still pending when the
+  // plan keeps instances forever and the instance is reused; it must drop
+  // itself instead of reaping.
+  KeepaliveFixture f(15.0);
+  f.platform->submit_request(f.app, 1.0);
+  f.engine.run_until(5.0);
+  f.set_keepalive(FunctionPlan::forever());
+  f.platform->submit_request(f.app, 8.0);
+  f.engine.run_until(500.0);
+
+  EXPECT_TRUE(f.times(obs::EventType::InstanceTerminated).empty());
+  EXPECT_EQ(f.platform->instances_total(f.app, 0), 1);
+  f.platform->finalize(500.0);
+}
+
+TEST(Keepalive, EvictionCancelsThePendingReapTimer) {
+  // Reused once, so its pending timer is the one armed at the first idle
+  // transition; evicting the idle instance must cancel exactly that timer.
+  KeepaliveFixture f(30.0);
+  f.platform->submit_request(f.app, 1.0);
+  f.platform->submit_request(f.app, 10.0);
+  f.engine.run_until(20.0);
+  ASSERT_EQ(f.platform->instances_idle(f.app, 0), 1);
+  int machine = -1;
+  for (const obs::Event& e : f.bus.events())
+    if (e.type == obs::EventType::InstanceCreated) machine = e.machine;
+  ASSERT_GE(machine, 0);
+
+  const std::size_t live = f.engine.pending();  // window tick + reap timer
+  const std::uint64_t cancelled = f.engine.stats().cancelled;
+  f.cluster.mark_down(machine);
+  EXPECT_EQ(f.platform->instances_total(f.app, 0), 0);
+  EXPECT_EQ(f.engine.pending(), live - 1);
+  EXPECT_EQ(f.engine.stats().cancelled, cancelled + 1);
+  f.platform->finalize(20.0);
+}
+
+TEST(Keepalive, FinalizeCancelsThePendingReapTimer) {
+  KeepaliveFixture f(30.0);
+  f.platform->submit_request(f.app, 1.0);
+  f.platform->submit_request(f.app, 10.0);
+  f.engine.run_until(20.0);
+  ASSERT_EQ(f.platform->instances_idle(f.app, 0), 1);
+  ASSERT_EQ(f.engine.pending(), 2u);  // window tick + reap timer
+  f.platform->finalize(20.0);
+  EXPECT_EQ(f.engine.pending(), 1u);  // the halted tick, which stops itself
+  f.engine.run_until(500.0);
+  EXPECT_EQ(f.engine.pending(), 0u);
+}
+
+/// Records every on_window call as (app, window end).
+class WindowRecorder : public Policy {
+ public:
+  explicit WindowRecorder(std::vector<std::pair<AppId, SimTime>>* log) : log_(log) {}
+  std::string name() const override { return "window-recorder"; }
+  void on_deploy(AppId, const apps::App&, PlatformView&) override {}
+  void on_window(AppId app, const apps::App&, PlatformView&, const WindowStats& stats) override {
+    log_->emplace_back(app, stats.window_end);
+  }
+
+ private:
+  std::vector<std::pair<AppId, SimTime>>* log_;
+};
+
+TEST(WindowTick, AppsDeployedTogetherShareOneEventPerWindow) {
+  Fixture f;
+  std::vector<std::pair<AppId, SimTime>> log;
+  for (int i = 0; i < 5; ++i)
+    f.platform->deploy(apps::make_voice_assistant(), std::make_shared<WindowRecorder>(&log));
+  EXPECT_EQ(f.engine.pending(), 1u);
+  f.engine.run_until(10.0);
+  EXPECT_EQ(f.engine.stats().fired, 10u);  // one per window, not one per app
+  EXPECT_EQ(log.size(), 50u);
+  f.platform->finalize(10.0);
+}
+
+TEST(WindowTick, AppsTickInDeployOrder) {
+  Fixture f;
+  std::vector<std::pair<AppId, SimTime>> log;
+  std::vector<AppId> ids;
+  for (int i = 0; i < 3; ++i)
+    ids.push_back(f.platform->deploy(apps::make_voice_assistant(),
+                                     std::make_shared<WindowRecorder>(&log)));
+  f.engine.run_until(2.0);
+  const std::vector<std::pair<AppId, SimTime>> want = {
+      {ids[0], 1.0}, {ids[1], 1.0}, {ids[2], 1.0},
+      {ids[0], 2.0}, {ids[1], 2.0}, {ids[2], 2.0}};
+  EXPECT_EQ(log, want);
+  f.platform->finalize(2.0);
+}
+
+TEST(WindowTick, AppDeployedLaterKeepsItsOwnGrid) {
+  Fixture f;
+  std::vector<std::pair<AppId, SimTime>> log;
+  const AppId early =
+      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<WindowRecorder>(&log));
+  f.engine.run_until(0.25);
+  const AppId late =
+      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<WindowRecorder>(&log));
+  EXPECT_EQ(f.engine.pending(), 2u);
+  f.engine.run_until(2.5);
+  const std::vector<std::pair<AppId, SimTime>> want = {
+      {early, 1.0}, {late, 1.25}, {early, 2.0}, {late, 2.25}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(f.platform->arrival_counts(late).size(), 2u);
+  f.platform->finalize(2.5);
 }
 
 }  // namespace

@@ -481,6 +481,24 @@ for k in ("arrivals_total", "requests_submitted", "requests_completed",
 assert det["events_fired"] + det["events_cancelled"] <= det["events_scheduled"], \
     "event accounting broken"
 assert det["requests_completed"] <= det["requests_submitted"], "completion accounting broken"
+for k in ("events_per_request", "cancels_per_request"):
+    require(det, k, num, "deterministic")
+assert det["events_per_request"] == det["events_fired"] / det["requests_submitted"], \
+    "events_per_request is not events_fired / requests_submitted"
+assert det["cancels_per_request"] == det["events_cancelled"] / det["requests_submitted"], \
+    "cancels_per_request is not events_cancelled / requests_submitted"
+# Work per request on this shrunken cell, gated as ceilings because both are
+# deterministic: a warm claim must not cancel its reap timer again, and the
+# warm path must not grow events. Pinned at 1 cancel and 4231 events for
+# 1503 requests; before lazy keep-alive reaping and the one-event window
+# tick the cell spent 0.50 cancels and 5.97 events per request. To re-pin
+# after a change that legitimately adds work per request, run the first
+# bench_throughput command above, copy the new deterministic value here and
+# say why in CHANGES.md.
+assert det["cancels_per_request"] <= 0.01, \
+    f"cancels per request {det['cancels_per_request']:.4f} > 0.01"
+assert det["events_per_request"] <= 4231 / 1503, \
+    f"events per request {det['events_per_request']:.4f} > {4231 / 1503:.4f}"
 micro = require(doc, "micro", dict, "$")
 for impl in ("calendar", "binary_heap"):
     sec = require(micro, impl, dict, "micro")
@@ -502,10 +520,11 @@ for r in rows:
     for k in ("events_scheduled", "events_fired", "events_cancelled",
               "requests_completed"):
         require(r, k, int, "sharded.lanes[]")
-    for k in ("wall_seconds", "events_per_sec", "peak_rss_mb"):
+    for k in ("wall_seconds", "requests_per_sec", "events_per_sec", "events_per_request",
+              "cancels_per_request", "peak_rss_mb"):
         require(r, k, num, "sharded.lanes[]")
 counts = ("events_scheduled", "events_fired", "events_cancelled", "requests_completed")
-for k in counts:
+for k in counts + ("events_per_request", "cancels_per_request"):
     assert det[k] == rows[0][k], \
         f"deterministic.{k} {det[k]} != lanes=1 row {rows[0][k]}"
 serial = json.load(open(sys.argv[3]))["sharded"]["lanes"]
@@ -543,9 +562,10 @@ payload = json.loads(html[a:b].replace("<\\/", "</"))
 assert len(payload["cells"]) == len(shp), "bench report cell count wrong"
 assert all("profile" in c for c in payload["cells"]), "report cell lacks profile"
 
-print(f"[bench] schema OK; sharded counts equal at 1 and default lane threads;"
+print(f"[bench] schema OK; lanes=1: {rows[0]['requests_per_sec']:.0f} requests/s,"
+      f" {det['events_per_request']:.3f} events and {det['cancels_per_request']:.4f}"
+      f" cancels per request; sharded counts equal at 1 and default lane threads;"
       f" micro fire order identical, speedup {micro['speedup']:.2f}x,"
-      f" {det['events_fired']} events fired at lanes=1,"
       f" profile coverage {pr['coverage']:.3f}")
 EOF
   rm -rf "${dir}"
