@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -14,7 +15,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace smiless::json {
@@ -35,76 +38,93 @@ class Value {
   using Member = std::pair<std::string, Value>;
   using Object = std::vector<Member>;
 
-  Value() : kind_(Kind::Null) {}
-  Value(bool b) : kind_(Kind::Bool), bool_(b) {}
-  Value(int v) : kind_(Kind::Int), int_(v) {}
-  Value(long v) : kind_(Kind::Int), int_(v) {}
-  Value(long long v) : kind_(Kind::Int), int_(v) {}
-  Value(unsigned long long v) : kind_(Kind::Int), int_(static_cast<long long>(v)) {}
-  Value(unsigned long v) : kind_(Kind::Int), int_(static_cast<long long>(v)) {}
-  Value(double v) : kind_(Kind::Double), double_(v) {}
-  Value(const char* s) : kind_(Kind::String), string_(s) {}
-  Value(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
+  Value() = default;
+  Value(bool b) : v_(std::in_place_type<bool>, b) {}
+  Value(int v) : v_(std::in_place_type<long long>, v) {}
+  Value(long v) : v_(std::in_place_type<long long>, v) {}
+  Value(long long v) : v_(std::in_place_type<long long>, v) {}
+  Value(unsigned long long v) : v_(std::in_place_type<long long>, static_cast<long long>(v)) {}
+  Value(unsigned long v) : v_(std::in_place_type<long long>, static_cast<long long>(v)) {}
+  Value(double v) : v_(std::in_place_type<double>, v) {}
+  Value(const char* s) : v_(std::in_place_type<std::string>, s) {}
+  Value(std::string s) : v_(std::in_place_type<std::string>, std::move(s)) {}
 
   static Value array() {
     Value v;
-    v.kind_ = Kind::Array;
+    v.v_.emplace<Array>();
     return v;
   }
   static Value object() {
     Value v;
-    v.kind_ = Kind::Object;
+    v.v_.emplace<Object>();
     return v;
   }
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
-  bool is_object() const { return kind_ == Kind::Object; }
-  bool is_array() const { return kind_ == Kind::Array; }
+  Kind kind() const { return static_cast<Kind>(v_.index()); }
+  bool is_null() const { return kind() == Kind::Null; }
+  bool is_object() const { return kind() == Kind::Object; }
+  bool is_array() const { return kind() == Kind::Array; }
 
   // --- object interface ----------------------------------------------------
 
   /// Insert-or-find a member; turns a Null value into an Object.
   Value& operator[](const std::string& key) {
-    if (kind_ == Kind::Null) kind_ = Kind::Object;
+    if (is_null()) v_.emplace<Object>();
     require(Kind::Object, "operator[] on non-object");
-    for (auto& m : object_)
+    Object& members = std::get<Object>(v_);
+    for (auto& m : members)
       if (m.first == key) return m.second;
-    object_.emplace_back(key, Value{});
-    return object_.back().second;
+    members.emplace_back(key, Value{});
+    return members.back().second;
   }
 
   const Value* find(const std::string& key) const {
-    if (kind_ != Kind::Object) return nullptr;
-    for (const auto& m : object_)
+    const Object* members = std::get_if<Object>(&v_);
+    if (members == nullptr) return nullptr;
+    for (const auto& m : *members)
       if (m.first == key) return &m.second;
     return nullptr;
   }
 
   const Object& members() const {
     require(Kind::Object, "members() on non-object");
-    return object_;
+    return std::get<Object>(v_);
   }
 
   // --- array interface -----------------------------------------------------
 
+  // g++ 12 warns, falsely, that moving a variant just built as a number
+  // reads the other alternatives' bytes (-Wmaybe-uninitialized at every
+  // push_back(Value(x)) call site).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
   void push_back(Value v) {
-    if (kind_ == Kind::Null) kind_ = Kind::Array;
+    if (is_null()) v_.emplace<Array>();
     require(Kind::Array, "push_back on non-array");
-    array_.push_back(std::move(v));
+    std::get<Array>(v_).push_back(std::move(v));
   }
+#pragma GCC diagnostic pop
 
-  const Array& items() const {
-    require(Kind::Array, "items() on non-array");
-    return array_;
+  /// The elements; throws unless this is an array, naming `key` (when
+  /// given) and the value. The mutable overload lets a caller move them out.
+  const Array& items(std::string_view key = {}) const {
+    if (const Array* a = std::get_if<Array>(&v_)) return *a;
+    type_error(key, "an array");
+  }
+  Array& items(std::string_view key = {}) {
+    if (Array* a = std::get_if<Array>(&v_)) return *a;
+    type_error(key, "an array");
   }
 
   // --- typed getters (with the "inf"/"nan" string convention) --------------
+  //
+  // Each throws on a value of the wrong type, naming `key` (when given) and
+  // the value: `json: 'sla': expected a number, got "fast"`.
 
-  bool as_bool() const {
-    if (kind_ == Kind::Bool) return bool_;
-    if (kind_ == Kind::Int) return int_ != 0;
-    throw std::runtime_error("json: expected bool");
+  bool as_bool(std::string_view key = {}) const {
+    if (const bool* b = std::get_if<bool>(&v_)) return *b;
+    if (const long long* i = std::get_if<long long>(&v_)) return *i != 0;
+    type_error(key, "a bool");
   }
 
   /// The value as an integer in [lo, hi]. A double converts only when it
@@ -117,43 +137,39 @@ class Value {
     // [-2^63, 2^63) are exactly the doubles a long long holds; both bounds
     // are powers of two, so the comparisons are exact. NaN fails them all.
     constexpr double kTwo63 = 9223372036854775808.0;
-    bool integral = kind_ == Kind::Int;
-    long long v = int_;
-    if (kind_ == Kind::Double && double_ == std::trunc(double_) && double_ >= -kTwo63 &&
-        double_ < kTwo63) {
+    const long long* i = std::get_if<long long>(&v_);
+    const double* d = std::get_if<double>(&v_);
+    bool integral = i != nullptr;
+    long long v = integral ? *i : 0;
+    if (d != nullptr && *d == std::trunc(*d) && *d >= -kTwo63 && *d < kTwo63) {
       integral = true;
-      v = static_cast<long long>(double_);
+      v = static_cast<long long>(*d);
     }
     if (integral && v >= lo && v <= hi) return v;
-    std::string shown = dump();
-    if (kind_ == Kind::Double && shown.front() == '"') shown = shown.substr(1, shown.size() - 2);
-    std::string msg = "json: ";
-    if (!key.empty()) msg += "'" + std::string(key) + "': ";
-    throw std::runtime_error(msg + "expected an integer in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "], got " + shown);
+    type_error(key, "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
 
-  double as_double() const {
-    if (kind_ == Kind::Double) return double_;
-    if (kind_ == Kind::Int) return static_cast<double>(int_);
-    if (kind_ == Kind::String) {
-      if (string_ == "inf") return std::numeric_limits<double>::infinity();
-      if (string_ == "-inf") return -std::numeric_limits<double>::infinity();
-      if (string_ == "nan") return std::numeric_limits<double>::quiet_NaN();
+  double as_double(std::string_view key = {}) const {
+    if (const double* d = std::get_if<double>(&v_)) return *d;
+    if (const long long* i = std::get_if<long long>(&v_)) return static_cast<double>(*i);
+    if (const std::string* s = std::get_if<std::string>(&v_)) {
+      if (*s == "inf") return std::numeric_limits<double>::infinity();
+      if (*s == "-inf") return -std::numeric_limits<double>::infinity();
+      if (*s == "nan") return std::numeric_limits<double>::quiet_NaN();
     }
-    throw std::runtime_error("json: expected number");
+    type_error(key, "a number");
   }
 
-  const std::string& as_string() const {
-    if (kind_ != Kind::String) throw std::runtime_error("json: expected string");
-    return string_;
+  const std::string& as_string(std::string_view key = {}) const {
+    if (const std::string* s = std::get_if<std::string>(&v_)) return *s;
+    type_error(key, "a string");
   }
 
   /// Getters for optional object members: the default wins when the key is
   /// absent, so old config files keep loading as the schema grows.
   double get(const std::string& key, double def) const {
     const Value* v = find(key);
-    return v == nullptr ? def : v->as_double();
+    return v == nullptr ? def : v->as_double(key);
   }
   long long get(const std::string& key, long long def) const {
     const Value* v = find(key);
@@ -167,11 +183,11 @@ class Value {
   }
   bool get(const std::string& key, bool def) const {
     const Value* v = find(key);
-    return v == nullptr ? def : v->as_bool();
+    return v == nullptr ? def : v->as_bool(key);
   }
   std::string get(const std::string& key, const std::string& def) const {
     const Value* v = find(key);
-    return v == nullptr ? def : v->as_string();
+    return v == nullptr ? def : v->as_string(key);
   }
   std::string get(const std::string& key, const char* def) const {
     return get(key, std::string(def));
@@ -184,8 +200,16 @@ class Value {
   /// number formatting).
   std::string dump(int indent = 0) const {
     std::string out;
-    write(out, indent, 0);
+    write(out, nullptr, indent, 0);
     return out;
+  }
+
+  /// dump(indent) into `os`, 64 KiB at a time, so that a large document (a
+  /// sweep's Perfetto trace runs to tens of MB) never exists as one string.
+  void dump(std::ostream& os, int indent = 0) const {
+    std::string out;
+    write(out, &os, indent, 0);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
   }
 
   /// parse() accepts arrays and objects nested at most this deep. The
@@ -201,32 +225,67 @@ class Value {
     return v;
   }
 
-  /// Shortest decimal string that round-trips the double exactly.
+  /// The shortest "%.*g" rendering that reads back as `v` exactly, or
+  /// "%.1f" when `v` is integral and |v| < 1e15 ("120.0" reads better in a
+  /// config file than "1.2e+02"). Non-finite values are the quoted strings
+  /// "inf", "-inf" and "nan".
   static std::string format_double(double v) {
-    if (std::isnan(v)) return "\"nan\"";
-    if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-    char buf[40];
-    // Integral doubles print as "N.0" — friendlier in config files than the
-    // "1.2e+02" a shortest-digits search would pick for 120.
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-      std::snprintf(buf, sizeof(buf), "%.1f", v);
-      return buf;
-    }
-    for (int prec = 1; prec <= 17; ++prec) {
-      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-      if (std::strtod(buf, nullptr) == v) break;
-    }
-    std::string s(buf);
-    // Ensure the token reads back as a double-typed value.
-    if (s.find_first_of(".eE") == std::string::npos &&
-        s.find_first_of("n") == std::string::npos)
-      s += ".0";
-    return s;
+    std::string out;
+    append_double(out, v);
+    return out;
   }
 
  private:
+  // One alternative per Kind, in Kind order, so kind() is the index.
+  using Storage =
+      std::variant<std::monostate, bool, long long, double, std::string, Array, Object>;
+
   void require(Kind k, const char* what) const {
-    if (kind_ != k) throw std::runtime_error(std::string("json: ") + what);
+    if (kind() != k) throw std::runtime_error(std::string("json: ") + what);
+  }
+
+  /// Throw `json: ['key': ]expected <what>, got <value>`.
+  [[noreturn]] void type_error(std::string_view key, const std::string& what) const {
+    std::string shown = dump();
+    // A non-finite double dumps as a quoted string; show it bare.
+    if (kind() == Kind::Double && shown.front() == '"') shown = shown.substr(1, shown.size() - 2);
+    std::string msg = "json: ";
+    if (!key.empty()) msg += "'" + std::string(key) + "': ";
+    throw std::runtime_error(msg + "expected " + what + ", got " + shown);
+  }
+
+  /// Append format_double(v) to `out`. The "%.*g" search starts at the
+  /// digit count of the shortest round-trip form (std::to_chars without a
+  /// precision): no "%.*g" with fewer digits can read back as `v`, so the
+  /// first step usually succeeds. std::to_chars with a precision is
+  /// printf's "%.*g", and std::from_chars rounds correctly like strtod, so
+  /// the result is the one a search from one digit up finds.
+  static void append_double(std::string& out, double v) {
+    if (!std::isfinite(v)) {
+      out += std::isnan(v) ? "\"nan\"" : v > 0 ? "\"inf\"" : "\"-inf\"";
+      return;
+    }
+    char buf[40];
+    char* const last = buf + sizeof(buf);
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+      out.append(buf, std::to_chars(buf, last, v, std::chars_format::fixed, 1).ptr);
+      return;
+    }
+    const char* const shortest = std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+    int prec = 0;
+    for (const char* p = buf; p != shortest && *p != 'e'; ++p)
+      if (*p >= '0' && *p <= '9') ++prec;
+    char* end = buf;
+    for (;; ++prec) {
+      end = std::to_chars(buf, last, v, std::chars_format::general, prec).ptr;
+      double back = 0.0;
+      if ((std::from_chars(buf, end, back).ec == std::errc() && back == v) || prec >= 17) break;
+    }
+    out.append(buf, end);
+    // Ensure the token reads back as a double-typed value.
+    if (std::string_view(buf, static_cast<std::size_t>(end - buf)).find_first_of(".e") ==
+        std::string_view::npos)
+      out += ".0";
   }
 
   static void write_string(std::string& out, const std::string& s) {
@@ -251,45 +310,60 @@ class Value {
     out += '"';
   }
 
-  void write(std::string& out, int indent, int depth) const {
+  /// Append the document to `out`; with `os` given, hand `out` to it after
+  /// any element that takes it past 64 KiB.
+  void write(std::string& out, std::ostream* os, int indent, int depth) const {
     const auto newline = [&](int d) {
       if (indent <= 0) return;
       out += '\n';
       out.append(static_cast<std::size_t>(indent * d), ' ');
     };
-    switch (kind_) {
+    const auto flush = [&] {
+      if (os == nullptr || out.size() < (std::size_t{1} << 16)) return;
+      os->write(out.data(), static_cast<std::streamsize>(out.size()));
+      out.clear();
+    };
+    switch (kind()) {
       case Kind::Null: out += "null"; break;
-      case Kind::Bool: out += bool_ ? "true" : "false"; break;
-      case Kind::Int: out += std::to_string(int_); break;
-      case Kind::Double: out += format_double(double_); break;
-      case Kind::String: write_string(out, string_); break;
+      case Kind::Bool: out += std::get<bool>(v_) ? "true" : "false"; break;
+      case Kind::Int: {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), std::get<long long>(v_)).ptr);
+        break;
+      }
+      case Kind::Double: append_double(out, std::get<double>(v_)); break;
+      case Kind::String: write_string(out, std::get<std::string>(v_)); break;
       case Kind::Array: {
-        if (array_.empty()) {
+        const Array& array = std::get<Array>(v_);
+        if (array.empty()) {
           out += "[]";
           break;
         }
         out += '[';
-        for (std::size_t i = 0; i < array_.size(); ++i) {
+        for (std::size_t i = 0; i < array.size(); ++i) {
           if (i > 0) out += ',';
           newline(depth + 1);
-          array_[i].write(out, indent, depth + 1);
+          array[i].write(out, os, indent, depth + 1);
+          flush();
         }
         newline(depth);
         out += ']';
         break;
       }
       case Kind::Object: {
-        if (object_.empty()) {
+        const Object& object = std::get<Object>(v_);
+        if (object.empty()) {
           out += "{}";
           break;
         }
         out += '{';
-        for (std::size_t i = 0; i < object_.size(); ++i) {
+        for (std::size_t i = 0; i < object.size(); ++i) {
           if (i > 0) out += ',';
           newline(depth + 1);
-          write_string(out, object_[i].first);
+          write_string(out, object[i].first);
           out += indent > 0 ? ": " : ":";
-          object_[i].second.write(out, indent, depth + 1);
+          object[i].second.write(out, os, indent, depth + 1);
+          flush();
         }
         newline(depth);
         out += '}';
@@ -466,13 +540,7 @@ class Value {
     }
   };
 
-  Kind kind_;
-  bool bool_ = false;
-  long long int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  Storage v_;
 };
 
 /// Throw unless `v` is an object whose every key is one of `known`. Each
@@ -487,6 +555,14 @@ inline void expect_keys(const Value& v, const std::string& object,
     for (const std::string_view k : known) found = found || k == m.first;
     if (!found) throw std::runtime_error("json: unknown key '" + m.first + "' in " + object);
   }
+}
+
+/// Throw `json: 'key' must be <rule>, got <value>`: a config reader's
+/// error for a number of the right type but out of range.
+[[noreturn]] inline void reject(std::string_view key, const std::string& rule, double got) {
+  std::string shown = Value::format_double(got);
+  if (shown.front() == '"') shown = shown.substr(1, shown.size() - 2);
+  throw std::runtime_error("json: '" + std::string(key) + "' must be " + rule + ", got " + shown);
 }
 
 /// Read a whole file into a parsed document; throws std::runtime_error with
@@ -507,7 +583,8 @@ inline Value load_file(const std::string& path) {
 inline void save_file(const Value& v, const std::string& path, int indent = 2) {
   std::ofstream os(path);
   if (!os.good()) throw std::runtime_error("json: cannot write " + path);
-  os << v.dump(indent) << "\n";
+  v.dump(os, indent);
+  os << "\n";
 }
 
 }  // namespace smiless::json

@@ -1,5 +1,6 @@
 #include "exp/config.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -51,6 +52,17 @@ TraceSpec TraceSpec::from_json(const json::Value& v) {
   t.quiet_rate = v.get("quiet_rate", t.quiet_rate);
   t.peak_rate = v.get("peak_rate", t.peak_rate);
   t.file = v.get("file", t.file);
+  // generate_regular_trace's preconditions, checked here so that a bad
+  // config exits with this message instead of aborting mid-run.
+  if (t.kind == "regular") {
+    if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
+    if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
+    if (!(std::isfinite(t.duration) && t.duration > t.interval))
+      json::reject("duration",
+                   "finite and > interval (" + json::Value::format_double(t.interval) +
+                       ") for a regular trace",
+                   t.duration);
+  }
   return t;
 }
 
@@ -277,11 +289,11 @@ ExperimentGrid ExperimentGrid::from_json(const json::Value& v) {
                      "straggler_probs", "crash_rates", "use_lstms", "seeds", "lanes"});
   const auto strings = [&](const char* key, std::vector<std::string>& out) {
     if (const json::Value* a = axes->find(key))
-      for (const auto& x : a->items()) out.push_back(x.as_string());
+      for (const auto& x : a->items(key)) out.push_back(x.as_string(key));
   };
   const auto doubles = [&](const char* key, std::vector<double>& out) {
     if (const json::Value* a = axes->find(key))
-      for (const auto& x : a->items()) out.push_back(x.as_double());
+      for (const auto& x : a->items(key)) out.push_back(x.as_double(key));
   };
   strings("apps", g.apps);
   strings("policies", g.policies);
@@ -291,12 +303,12 @@ ExperimentGrid ExperimentGrid::from_json(const json::Value& v) {
   doubles("straggler_probs", g.straggler_probs);
   doubles("crash_rates", g.crash_rates);
   if (const json::Value* a = axes->find("use_lstms"))
-    for (const auto& x : a->items()) g.use_lstms.push_back(x.as_bool());
+    for (const auto& x : a->items("use_lstms")) g.use_lstms.push_back(x.as_bool("use_lstms"));
   if (const json::Value* a = axes->find("seeds"))
-    for (const auto& x : a->items())
+    for (const auto& x : a->items("seeds"))
       g.seeds.push_back(static_cast<std::uint64_t>(x.as_int("seeds")));
   if (const json::Value* a = axes->find("lanes"))
-    for (const auto& x : a->items()) g.lanes.push_back(lane_count(x.as_int("lanes")));
+    for (const auto& x : a->items("lanes")) g.lanes.push_back(lane_count(x.as_int("lanes")));
   return g;
 }
 

@@ -35,7 +35,7 @@ FaultSpec fault_spec_from_json(const json::Value& v) {
   spec.mttr = v.get("mttr", spec.mttr);
   spec.crash_horizon = v.get("crash_horizon", spec.crash_horizon);
   if (const json::Value* crashes = v.find("crashes")) {
-    for (const auto& e : crashes->items()) {
+    for (const auto& e : crashes->items("crashes")) {
       json::expect_keys(e, "faults.crashes[" + std::to_string(spec.crashes.size()) + "]",
                         {"machine", "at", "duration"});
       ScheduledCrash c;

@@ -56,7 +56,7 @@ json::Value AuditLog::to_json() const {
 AuditLog AuditLog::from_json(const json::Value& v) {
   AuditLog log;
   if (const auto* decisions = v.find("decisions")) {
-    for (const auto& d : decisions->items()) log.record(DecisionRecord::from_json(d));
+    for (const auto& d : decisions->items("decisions")) log.record(DecisionRecord::from_json(d));
   }
   return log;
 }

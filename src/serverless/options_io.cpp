@@ -1,5 +1,7 @@
 #include "serverless/options_io.hpp"
 
+#include <cmath>
+
 namespace smiless::serverless {
 
 json::Value to_json(const PlatformOptions& o) {
@@ -21,6 +23,8 @@ PlatformOptions platform_options_from_json(const json::Value& v) {
                      "retry_max_delay", "max_retries", "request_timeout", "record_traces"});
   PlatformOptions o;
   o.window_seconds = v.get("window_seconds", o.window_seconds);
+  if (!(std::isfinite(o.window_seconds) && o.window_seconds > 0.0))
+    json::reject("window_seconds", "finite and > 0", o.window_seconds);
   o.inference_noise = v.get("inference_noise", o.inference_noise);
   o.retry_delay = v.get("retry_delay", o.retry_delay);
   o.retry_backoff = v.get("retry_backoff", o.retry_backoff);

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
@@ -121,6 +129,142 @@ TEST(Json, NestingUpToTheCapParses) {
   const std::string doc = std::string(depth, '[') + std::string(depth, ']');
   EXPECT_EQ(json::Value::parse(doc).dump(), doc);
   EXPECT_THROW(json::Value::parse("[" + doc + "]"), std::runtime_error);
+}
+
+/// The number rule as a search from one digit up: "%.1f" for integral
+/// |v| < 1e15, else the shortest "%.*g" that strtod reads back as v, with
+/// ".0" appended when that token has neither '.' nor an exponent. This is
+/// the executable spec format_double must match byte for byte.
+std::string printf_search(double v) {
+  if (std::isnan(v)) return "\"nan\"";
+  if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.1f", v);
+    return buf;
+  }
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  std::string s(buf);
+  if (s.find_first_of(".eE") == std::string::npos && s.find_first_of("n") == std::string::npos)
+    s += ".0";
+  return s;
+}
+
+/// `count` neighbours of `v` on each side, one ulp apart, and `v` itself.
+void push_neighbours(std::vector<double>& out, double v, int count) {
+  double up = v;
+  double down = v;
+  out.push_back(v);
+  for (int i = 0; i < count; ++i) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+    out.push_back(up);
+    out.push_back(down);
+  }
+}
+
+TEST(Json, FormatDoubleMatchesThePrintfSearch) {
+  std::vector<double> xs;
+  Rng rng(17);
+  // Random bit patterns: every exponent, normal and subnormal, both signs.
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng.engine()();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    xs.push_back(v);
+  }
+  // What the trace exporter writes: simulated seconds as microseconds, and
+  // the differences of two of them (slice durations).
+  for (int i = 0; i < 200000; ++i) {
+    const double a = rng.uniform(0.0, 7200.0);
+    const double b = a + rng.exponential(2.0);
+    xs.push_back(a * 1e6);
+    xs.push_back(b * 1e6);
+    xs.push_back((b - a) * 1e6);
+    xs.push_back(b * 1e6 - a * 1e6);
+  }
+  // Integral values around the "%.1f" cut at 1e15 and around 2^53, where
+  // consecutive doubles are 2 apart.
+  for (const double v : {1e15, -1e15, 9007199254740992.0, -9007199254740992.0})
+    push_neighbours(xs, v, 2000);
+  for (int i = -2000; i <= 2000; ++i) {
+    xs.push_back(1e15 + i * 0.5);
+    xs.push_back(9007199254740992.0 + i * 2.0);
+  }
+  // Subnormals and zeros; the ends of the normal range.
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng.engine()() & ((std::uint64_t{1} << 52) - 1);
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    xs.push_back(v);
+    xs.push_back(-v);
+  }
+  for (const double v : {0.0, -0.0, std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX})
+    push_neighbours(xs, v, 50);
+  // Where "%g" switches between fixed and scientific notation, and large
+  // powers of ten past the "%.1f" cut.
+  for (const double v : {1e-4, 1e-5, 1e16, 1e21, -1e-4, -1e-5, -1e16, -1e21})
+    push_neighbours(xs, v, 500);
+  for (int i = 0; i < 20000; ++i) xs.push_back(rng.uniform(1e-5, 1e-3));
+  xs.push_back(std::numeric_limits<double>::quiet_NaN());
+  xs.push_back(std::numeric_limits<double>::infinity());
+  xs.push_back(-std::numeric_limits<double>::infinity());
+  ASSERT_GE(xs.size(), 1000000u);
+
+  std::size_t mismatches = 0;
+  for (const double v : xs) {
+    const std::string want = printf_search(v);
+    const std::string got = json::Value::format_double(v);
+    if (got != want && ++mismatches <= 10)
+      ADD_FAILURE() << std::hexfloat << v << ": format_double gave " << got
+                    << ", the printf search " << want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << xs.size() << " doubles";
+  // A few fixed points of the rule.
+  EXPECT_EQ(json::Value::format_double(120.0), "120.0");
+  EXPECT_EQ(json::Value::format_double(-0.0), "-0.0");
+  EXPECT_EQ(json::Value::format_double(0.0001), "0.0001");
+  EXPECT_EQ(json::Value::format_double(0.00001), "1e-05");
+  EXPECT_EQ(json::Value::format_double(1e16), "1e+16");
+  EXPECT_EQ(json::Value::format_double(1234567890123456.0), "1234567890123456.0");
+}
+
+TEST(Json, ValueIsCompact) {
+  // One variant alternative at a time: 40 bytes on LP64 (a std::string plus
+  // the index), against 104 when every alternative had its own member.
+  EXPECT_LE(sizeof(json::Value), 48u);
+}
+
+TEST(Json, MutableItemsMovesElementsOut) {
+  json::Value src = json::Value::array();
+  src.push_back(std::string(64, 'x'));
+  const char* buffer = src.items()[0].as_string().data();
+  json::Value dst = json::Value::array();
+  for (auto& e : src.items()) dst.push_back(std::move(e));
+  // The string's heap buffer changed owner; a copy would have made a new one.
+  EXPECT_EQ(dst.items()[0].as_string().data(), buffer);
+  EXPECT_EQ(dst.items()[0].as_string(), std::string(64, 'x'));
+}
+
+TEST(Json, StreamedDumpMatchesDump) {
+  // Large enough that dump(os) hands the stream several 64 KiB chunks.
+  json::Value doc = json::Value::array();
+  for (int i = 0; i < 5000; ++i) {
+    json::Value e = json::Value::object();
+    e["name"] = "event \"" + std::to_string(i) + "\"\n";
+    e["ts"] = i * 1234.5678;
+    e["args"]["id"] = i;
+    doc.push_back(std::move(e));
+  }
+  for (const int indent : {0, 2}) {
+    std::ostringstream os;
+    doc.dump(os, indent);
+    EXPECT_GT(os.str().size(), std::size_t{1} << 17);
+    EXPECT_EQ(os.str(), doc.dump(indent));
+  }
 }
 
 }  // namespace

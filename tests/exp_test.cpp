@@ -212,6 +212,44 @@ TEST(ExpConfig, RejectsNonObjectSection) {
   expect_config_error(R"({"trace": 5})", {"trace must be an object"});
 }
 
+TEST(ExpConfig, WrongTypedValueNamesItsKey) {
+  expect_config_error(R"({"app": "wl1", "policy": "orion", "sla": "fast"})",
+                      {"'sla'", "expected a number", "got \"fast\""});
+}
+
+TEST(ExpConfig, RejectsNonPositiveWindowSeconds) {
+  // Each would fail ShardedPlatform's window_seconds check mid-run.
+  expect_config_error(R"({"app": "wl1", "policy": "orion", "platform": {"window_seconds": 0}})",
+                      {"'window_seconds'", "got 0.0"});
+  expect_config_error(R"({"platform": {"window_seconds": -1.5}})",
+                      {"'window_seconds'", "got -1.5"});
+  expect_config_error(R"({"platform": {"window_seconds": "inf"}})",
+                      {"'window_seconds'", "got inf"});
+}
+
+TEST(ExpConfig, RejectsNonPositiveRegularInterval) {
+  expect_config_error(
+      R"({"app": "wl1", "policy": "orion", "trace": {"kind": "regular", "interval": -1, "duration": 60}})",
+      {"'interval'", "got -1.0"});
+  expect_config_error(R"({"trace": {"kind": "regular", "interval": 0}})",
+                      {"'interval'", "got 0.0"});
+  // Only a regular trace reads the interval.
+  EXPECT_NO_THROW(exp::ExperimentConfig::from_json(
+      json::Value::parse(R"({"trace": {"kind": "preset", "interval": -1}})")));
+}
+
+TEST(ExpConfig, RejectsNegativeRegularJitter) {
+  expect_config_error(R"({"trace": {"kind": "regular", "jitter": -0.1}})",
+                      {"'jitter'", "got -0.1"});
+}
+
+TEST(ExpConfig, RejectsRegularDurationNotAboveInterval) {
+  expect_config_error(R"({"trace": {"kind": "regular", "interval": 5, "duration": 5}})",
+                      {"'duration'", "interval (5.0)", "got 5.0"});
+  expect_config_error(R"({"trace": {"kind": "regular", "duration": "inf"}})",
+                      {"'duration'", "got inf"});
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;
@@ -281,6 +319,11 @@ TEST(ExpGrid, RejectsUnknownGridKey) {
 TEST(ExpGrid, RejectsUnknownAxis) {
   expect_grid_error(R"({"axes": {"apps": ["wl1"], "seed": [1, 2]}})",
                     "unknown key 'seed' in axes");
+}
+
+TEST(ExpGrid, WrongTypedAxisNamesItsKey) {
+  expect_grid_error(R"({"base": {"app": "wl1"}, "axes": {"seeds": 5}})", "'seeds'");
+  expect_grid_error(R"({"axes": {"slas": [2.0, "fast"]}})", "'slas'");
 }
 
 TEST(ExpRunner, RunCellMatchesDirectExperiment) {

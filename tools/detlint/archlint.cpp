@@ -46,7 +46,7 @@ std::string display(const std::string& path, const std::string& module) {
 std::vector<std::string> string_list(const json::Value& v, const char* what) {
   std::vector<std::string> out;
   if (!v.is_array()) throw std::runtime_error(std::string("layers.json: ") + what + " must be an array");
-  for (const auto& item : v.items()) out.push_back(item.as_string());
+  for (const auto& item : v.items()) out.push_back(item.as_string(what));
   return out;
 }
 
