@@ -28,11 +28,11 @@
 
 namespace smiless::common {
 
-/// Lifetime counters of one slab (or recycler). Pure allocation-domain
-/// tallies; nothing here feeds back into simulated behaviour.
+/// Lifetime counters of one slab. Pure allocation-domain tallies; nothing
+/// here feeds back into simulated behaviour.
 struct SlabStats {
-  std::uint64_t created = 0;   ///< total create()/acquire() calls
-  std::uint64_t destroyed = 0; ///< total destroy()/release() calls
+  std::uint64_t created = 0;   ///< total create() calls
+  std::uint64_t destroyed = 0; ///< total destroy() calls
   std::uint64_t reused = 0;    ///< creates served from the freelist
   std::uint64_t blocks = 0;    ///< slab blocks carved from the system heap
   std::size_t live = 0;        ///< currently outstanding objects
@@ -41,7 +41,7 @@ struct SlabStats {
 
 /// Fixed-size-slot slab allocator: one size class per instantiation, one
 /// LIFO freelist, geometrically growing blocks. This is the allocator for
-/// the simulator's short-lived hot objects (queued events, batch slices):
+/// the simulator's short-lived hot objects (queued events):
 /// create/destroy are a freelist push/pop in the steady state, objects of a
 /// class pack contiguously (cache locality the general-purpose heap cannot
 /// promise), and nothing is ever returned to the system until the slab
@@ -166,46 +166,6 @@ class Slab {
   std::vector<void*> freelist_;  // LIFO: deterministic reuse order
   std::size_t next_block_slots_;
   bool poison_;
-  SlabStats stats_;
-};
-
-/// Capacity-preserving recycler for container-valued hot objects (batch
-/// slices, in-flight invocation lists): release() clears the container but
-/// keeps its heap capacity, acquire() hands the most recently released one
-/// back (LIFO, deterministic). In the steady state a serving loop that
-/// forms one batch vector per dispatch performs zero heap traffic.
-template <class T>
-class Recycler {
- public:
-  /// `max_pooled` bounds how many idle containers are retained; beyond the
-  /// cap, release() lets the container free its memory normally.
-  explicit Recycler(std::size_t max_pooled = 1024) : max_pooled_(max_pooled) {}
-
-  T acquire() {
-    ++stats_.created;
-    ++stats_.live;
-    if (stats_.live > stats_.peak_live) stats_.peak_live = stats_.live;
-    if (pool_.empty()) return T{};
-    T out = std::move(pool_.back());
-    pool_.pop_back();
-    ++stats_.reused;
-    return out;
-  }
-
-  void release(T obj) {
-    ++stats_.destroyed;
-    --stats_.live;
-    if (pool_.size() >= max_pooled_) return;
-    obj.clear();
-    pool_.push_back(std::move(obj));
-  }
-
-  std::size_t pooled() const { return pool_.size(); }
-  const SlabStats& stats() const { return stats_; }
-
- private:
-  std::vector<T> pool_;
-  std::size_t max_pooled_;
   SlabStats stats_;
 };
 

@@ -24,6 +24,21 @@ int lane_count(long long v) {
   return static_cast<int>(v);
 }
 
+/// generate_regular_trace's preconditions. Checked where a config is read
+/// and again where the trace is built, after every override (a grid's
+/// `durations` axis, the CLI's --duration), so a bad trace exits with this
+/// message instead of aborting mid-run.
+void check_regular_trace(const TraceSpec& t) {
+  if (t.kind != "regular") return;
+  if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
+  if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
+  if (!(std::isfinite(t.duration) && t.duration > t.interval))
+    json::reject("duration",
+                 "finite and > interval (" + json::Value::format_double(t.interval) +
+                     ") for a regular trace",
+                 t.duration);
+}
+
 }  // namespace
 
 json::Value TraceSpec::to_json() const {
@@ -52,17 +67,7 @@ TraceSpec TraceSpec::from_json(const json::Value& v) {
   t.quiet_rate = v.get("quiet_rate", t.quiet_rate);
   t.peak_rate = v.get("peak_rate", t.peak_rate);
   t.file = v.get("file", t.file);
-  // generate_regular_trace's preconditions, checked here so that a bad
-  // config exits with this message instead of aborting mid-run.
-  if (t.kind == "regular") {
-    if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
-    if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
-    if (!(std::isfinite(t.duration) && t.duration > t.interval))
-      json::reject("duration",
-                   "finite and > interval (" + json::Value::format_double(t.interval) +
-                       ") for a regular trace",
-                   t.duration);
-  }
+  check_regular_trace(t);
   return t;
 }
 
@@ -341,8 +346,10 @@ workload::Trace build_trace(const ExperimentConfig& config, const apps::App& app
     const auto options = workload::preset_for_workload(app.name, spec.duration);
     return workload::generate_trace(options, rng);
   }
-  if (spec.kind == "regular")
+  if (spec.kind == "regular") {
+    check_regular_trace(spec);
     return workload::generate_regular_trace(spec.interval, spec.jitter, spec.duration, rng);
+  }
   if (spec.kind == "burst")
     return workload::generate_burst_window(spec.quiet_rate, spec.peak_rate, rng,
                                            spec.duration);

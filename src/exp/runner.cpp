@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/table.hpp"
+#include "faults/fault_io.hpp"
 #include "profiler/offline_profiler.hpp"
 
 namespace smiless::exp {
@@ -33,6 +34,8 @@ CellResult execute_cell(const ExperimentConfig& config, const baselines::Profile
   // detlint:allow(wall-clock) cell wall-time goes to progress stderr only, never into artifacts
   const auto t0 = std::chrono::steady_clock::now();
 
+  // The fault knobs as the CLI flags and the grid's axes left them.
+  faults::validate(config.faults);
   const apps::App app = resolve_app(config);
   const workload::Trace trace = build_trace(config, app);
 

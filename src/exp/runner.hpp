@@ -105,7 +105,8 @@ class Runner {
 /// options, then runs the cell under a Site::CellRun root scope on
 /// `profile`. `telemetry`, `profile` and `clock` may be null; a null clock
 /// runs the cell as a discrete-event simulation. Throws std::runtime_error
-/// for an unknown app or policy.
+/// for an unknown app or policy, or a fault knob that faults::validate
+/// rejects.
 CellResult execute_cell(const ExperimentConfig& config, const baselines::ProfileStore& store,
                         std::shared_ptr<ThreadPool> policy_pool, int lane_threads,
                         std::shared_ptr<obs::Telemetry> telemetry,

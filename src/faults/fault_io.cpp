@@ -1,5 +1,9 @@
 #include "faults/fault_io.hpp"
 
+#include <cstddef>
+#include <string>
+#include <string_view>
+
 namespace smiless::faults {
 
 json::Value to_json(const FaultSpec& spec) {
@@ -46,7 +50,24 @@ FaultSpec fault_spec_from_json(const json::Value& v) {
     }
   }
   spec.salt = static_cast<std::uint64_t>(v.get("salt", static_cast<long long>(spec.salt)));
+  validate(spec);
   return spec;
+}
+
+void validate(const FaultSpec& spec) {
+  const auto probability = [](std::string_view key, double p) {
+    if (!(p >= 0.0 && p <= 1.0)) json::reject(key, "in [0, 1]", p);
+  };
+  probability("init_failure_prob", spec.init_failure_prob);
+  probability("straggler_prob", spec.straggler_prob);
+  if (!(spec.straggler_factor >= 1.0))
+    json::reject("straggler_factor", ">= 1", spec.straggler_factor);
+  if (!(spec.crash_rate >= 0.0)) json::reject("crash_rate", ">= 0", spec.crash_rate);
+  if (!(spec.mttr > 0.0)) json::reject("mttr", "> 0", spec.mttr);
+  for (std::size_t i = 0; i < spec.crashes.size(); ++i)
+    if (!(spec.crashes[i].duration > 0.0))
+      json::reject("crashes[" + std::to_string(i) + "].duration", "> 0",
+                   spec.crashes[i].duration);
 }
 
 }  // namespace smiless::faults

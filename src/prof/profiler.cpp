@@ -48,8 +48,6 @@ const char* counter_name(Counter c) {
     case Counter::CalendarBuckets: return "calendar/buckets";
     case Counter::CalendarResizes: return "calendar/resizes";
     case Counter::CalendarDirectSearches: return "calendar/direct_searches";
-    case Counter::SliceLive: return "slices/live";
-    case Counter::SliceBlocks: return "slices/blocks";
     case Counter::kCount: break;
   }
   return "?";

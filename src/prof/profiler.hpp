@@ -33,10 +33,9 @@
 /// RunnerOptions is null: ScopeTimer degenerates to a single pointer test.
 ///
 /// The profiler also surfaces the simulator's dark internal stats
-/// (CalendarStats, Slab/Recycler occupancy, EngineStats) as *sampled
-/// counters*: deterministic (sim_time, value) pairs recorded every 2^14
-/// fired events, exported as Perfetto "C" counter tracks that line up with
-/// the sim-time trace.
+/// (CalendarStats, EngineStats) as *sampled counters*: deterministic
+/// (sim_time, value) pairs recorded every 2^14 fired events, exported as
+/// Perfetto "C" counter tracks that line up with the sim-time trace.
 
 #include <array>
 #include <cstddef>
@@ -83,8 +82,6 @@ enum class Counter : int {
   CalendarBuckets,         ///< CalendarStats::buckets (current year size)
   CalendarResizes,         ///< CalendarStats::resizes (monotone)
   CalendarDirectSearches,  ///< CalendarStats::direct_searches (monotone)
-  SliceLive,               ///< batch-slice Recycler live objects
-  SliceBlocks,             ///< batch-slice Recycler allocated blocks
   kCount
 };
 

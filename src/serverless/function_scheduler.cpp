@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <utility>
 
 #include "common/check.hpp"
 #include "faults/fault_injector.hpp"
@@ -80,12 +79,6 @@ void FunctionScheduler::push_front(AppId app, dag::NodeId node, RequestId reques
 void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
   if (halted_) return;
   prof::ScopeTimer scope(options_.prof, prof::Site::Dispatch);
-  if (prof::Profiler* p = options_.prof;
-      p != nullptr && (dispatch_calls_++ & (kSliceSampleInterval - 1)) == 0) {
-    const common::SlabStats ss = slice_stats();
-    p->sample(engine_.now(), prof::Counter::SliceLive, static_cast<double>(ss.live));
-    p->sample(engine_.now(), prof::Counter::SliceBlocks, static_cast<double>(ss.blocks));
-  }
   auto& f = fn(app, node);
 
   while (!f.queue.empty()) {
@@ -96,16 +89,13 @@ void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
     Instance* chosen = &instances[*pick];
     SMILESS_CHECK(chosen->st == InstanceState::Idle);
 
-    // Claim the instance and form a batch.
+    // Claim the instance and move the batch into it; its inflight list was
+    // cleared, capacity intact, when its previous batch completed.
     pool_->claim(*chosen);
     const int batch_n =
         std::min<int>(std::max(1, f.plan.max_batch), static_cast<int>(f.queue.size()));
-    std::vector<RequestId> batch = slices_.acquire();
-    batch.reserve(batch_n);
-    for (int i = 0; i < batch_n; ++i) {
-      batch.push_back(f.queue.front());
-      f.queue.pop_front();
-    }
+    chosen->inflight.assign(f.queue.begin(), f.queue.begin() + batch_n);
+    f.queue.erase(f.queue.begin(), f.queue.begin() + batch_n);
 
     auto& fm = ledger_.fn(app, node);
     fm.invocations += batch_n;
@@ -121,38 +111,13 @@ void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
                              .t = exec_start,
                              .app = app,
                              .node = node,
-                             .request = batch.front(),
+                             .request = chosen->inflight.front(),
                              .instance = inst_id,
                              .machine = chosen->alloc.machine,
                              .count = batch_n});
-    chosen->inflight.assign(batch.begin(), batch.end());  // reuses its capacity
-    chosen->pending = engine_.schedule_after(
-        latency, [this, app, node, inst_id, exec_start, batch = std::move(batch)]() mutable {
-          if (options_.record_traces) {
-            for (RequestId r : batch)
-              tracker_->record_span(app, node, r, exec_start, static_cast<int>(batch.size()));
-          }
-          if (options_.bus != nullptr) {
-            options_.bus->publish({.type = EventType::BatchEnd,
-                                   .t = engine_.now(),
-                                   .t2 = exec_start,
-                                   .app = app,
-                                   .node = node,
-                                   .request = batch.front(),
-                                   .instance = inst_id,
-                                   .count = static_cast<int>(batch.size())});
-            for (RequestId r : batch)
-              options_.bus->publish({.type = EventType::InvocationDone,
-                                     .t = engine_.now(),
-                                     .t2 = exec_start,
-                                     .app = app,
-                                     .node = node,
-                                     .request = r,
-                                     .instance = inst_id,
-                                     .count = static_cast<int>(batch.size())});
-          }
-          pool_->on_batch_done(app, node, inst_id, std::move(batch));
-        });
+    chosen->pending = engine_.schedule_after(latency, [this, app, node, inst_id, exec_start] {
+      pool_->on_batch_done(app, node, inst_id, exec_start);
+    });
   }
 
   if (f.queue.empty()) return;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/slab.hpp"
 #include "dag/dag.hpp"
 #include "perfmodel/hardware.hpp"
 #include "serverless/instance.hpp"
@@ -35,11 +34,11 @@ std::optional<std::size_t> warm_first_pick(const std::vector<Instance>& instance
 /// FunctionScheduler — per-function queues, batching and dispatch. Single
 /// responsibility: hold each function's FunctionPlan and its FIFO of ready
 /// invocations, and drain that FIFO onto instances: warm_first_pick chooses
-/// the serving instance, the scheduler forms a batch of up to
-/// plan.max_batch invocations, samples the inference latency, and schedules
-/// the batch completion. When the queue is non-empty and no instance exists
-/// it defers to the InstancePool's cold-start path. Publishes obs:
-/// BatchStart, BatchEnd, InvocationDone.
+/// the serving instance, the scheduler moves up to plan.max_batch
+/// invocations into its `inflight` batch, samples the inference latency,
+/// and schedules the batch completion (InstancePool::on_batch_done). When
+/// the queue is non-empty and no instance exists it defers to the
+/// InstancePool's cold-start path. Publishes obs: BatchStart.
 class FunctionScheduler {
  public:
   FunctionScheduler(sim::Engine& engine, Rng& rng, const PlatformOptions& options,
@@ -74,20 +73,8 @@ class FunctionScheduler {
   bool queue_empty(AppId app, dag::NodeId node) const;
   std::size_t queue_length(AppId app, dag::NodeId node) const;
 
-  /// Return a batch slice's storage to the recycler once the InstancePool
-  /// has finished completing it. Steady-state dispatch then performs zero
-  /// heap traffic for batch formation.
-  void recycle_slice(std::vector<RequestId> slice) { slices_.release(std::move(slice)); }
-
-  const common::SlabStats& slice_stats() const { return slices_.stats(); }
-
   /// Stop dispatching (finalize). Idempotent.
   void halt() { halted_ = true; }
-
-  /// Self-profiler cadence (in dispatch calls) for sampling the batch-slice
-  /// recycler occupancy. Power of two; sample points depend only on the
-  /// trajectory.
-  static constexpr std::uint64_t kSliceSampleInterval = 1ull << 10;
 
  private:
   struct FnQueue {
@@ -106,8 +93,6 @@ class FunctionScheduler {
   RequestTracker* tracker_ = nullptr;
   InstancePool* pool_ = nullptr;
   std::deque<std::vector<FnQueue>> apps_;  // by AppId, then NodeId
-  common::Recycler<std::vector<RequestId>> slices_;  // batch-slice storage
-  std::uint64_t dispatch_calls_ = 0;  // profiler sampling cadence only
   bool halted_ = false;
 };
 

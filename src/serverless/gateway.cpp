@@ -21,17 +21,7 @@ void Gateway::wire(Platform* platform, RequestTracker* tracker, InstancePool* po
   pool_ = pool;
 }
 
-Gateway::AppWindows& Gateway::windows(AppId app) {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  return apps_[app];
-}
-
-const Gateway::AppWindows& Gateway::windows(AppId app) const {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  return apps_[app];
-}
-
-void Gateway::add_app() { apps_.emplace_back(); }
+void Gateway::add_app() { open_arrivals_.push_back(0); }
 
 void Gateway::start(AppId app) {
   if (grids_.empty() || grids_.back().opened != engine_.now()) {
@@ -54,23 +44,21 @@ void Gateway::window_tick(WindowGrid& grid) {
 
 void Gateway::close_window(AppId app, SimTime end) {
   prof::ScopeTimer scope(options_.prof, prof::Site::GatewayWindow);
-  auto& w = windows(app);
   WindowStats stats;
   stats.window_end = end;
   stats.window_start = end - options_.window_seconds;
-  stats.arrivals = w.current_arrivals;
-  w.counts.push_back(w.current_arrivals);
+  stats.arrivals = open_arrivals_[app];
 
   WindowSample sample;
   sample.window_start = stats.window_start;
-  sample.arrivals = w.current_arrivals;
+  sample.arrivals = stats.arrivals;
   const auto census = pool_->census(app);
   sample.instances_total = census.total;
   sample.instances_cpu = census.cpu;
   sample.instances_gpu = census.gpu;
   ledger_.books(app).windows.push_back(sample);
 
-  w.current_arrivals = 0;
+  open_arrivals_[app] = 0;
   PlatformView view(*platform_);
   {
     prof::ScopeTimer solver(options_.prof, prof::Site::PolicyWindow);
@@ -82,15 +70,11 @@ void Gateway::submit(AppId app, SimTime arrival) {
   SMILESS_CHECK(arrival >= engine_.now());
   engine_.schedule_at(arrival, [this, app] {
     ++ledger_.books(app).submitted;
-    ++windows(app).current_arrivals;
+    ++open_arrivals_[app];
     PlatformView view(*platform_);
     table_.policy(app).on_arrival(app, table_.spec(app), view, engine_.now());
     tracker_->admit(app);
   });
-}
-
-const std::vector<int>& Gateway::arrival_counts(AppId app) const {
-  return windows(app).counts;
 }
 
 }  // namespace smiless::serverless

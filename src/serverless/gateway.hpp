@@ -22,8 +22,8 @@ struct PlatformOptions;
 /// Gateway — arrival intake and the window ticker. Single responsibility:
 /// accept request submissions, count arrivals per counting window (§IV-B:
 /// "a specified time window, which is set to one second"), snapshot a
-/// WindowSample into the Ledger at each boundary, and deliver WindowStats to
-/// the policy. Apps deployed at the same instant close their windows at the
+/// WindowSample into the Ledger at each boundary (the only record of a
+/// closed window's arrivals), and deliver WindowStats to the policy. Apps deployed at the same instant close their windows at the
 /// same instants, so they share one self-rescheduling tick event that closes
 /// each app's window in deploy order. Publishes obs: RequestSubmitted is
 /// published downstream by the RequestTracker it admits into; the Gateway
@@ -50,15 +50,7 @@ class Gateway {
   /// Stop ticking (finalize). Idempotent.
   void halt() { halted_ = true; }
 
-  /// Per-window arrival counts observed so far (the series the Online
-  /// Predictor trains on).
-  const std::vector<int>& arrival_counts(AppId app) const;
-
  private:
-  struct AppWindows {
-    std::vector<int> counts;  ///< finished windows
-    int current_arrivals = 0;
-  };
   /// Apps deployed at one instant: their windows end together.
   struct WindowGrid {
     SimTime opened = 0.0;  ///< the deploy instant
@@ -68,8 +60,6 @@ class Gateway {
 
   void window_tick(WindowGrid& grid);
   void close_window(AppId app, SimTime end);
-  AppWindows& windows(AppId app);
-  const AppWindows& windows(AppId app) const;
 
   sim::Engine& engine_;
   const PlatformOptions& options_;
@@ -78,7 +68,9 @@ class Gateway {
   Platform* platform_ = nullptr;
   RequestTracker* tracker_ = nullptr;
   InstancePool* pool_ = nullptr;
-  std::deque<AppWindows> apps_;  // by AppId; deque: stable arrival_counts refs
+  /// Arrivals in each app's open window, by AppId; closed windows' counts
+  /// live in the app's AppMetrics::windows.
+  std::vector<int> open_arrivals_;
   std::deque<WindowGrid> grids_;  // deque: the tick events hold grid refs
   bool halted_ = false;
 };

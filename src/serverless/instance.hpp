@@ -30,7 +30,10 @@ struct Instance {
   sim::EventId kill_timer = 0;
   SimTime kill_timer_at = 0.0;  ///< when kill_timer fires; never after kill_at
   sim::EventId pending = 0;     ///< in-flight init or batch-completion event
-  std::vector<RequestId> inflight;  ///< requests executing in the current batch
+  /// The requests executing in the current batch: the batch's only copy.
+  /// Dispatch fills it, completion and eviction read it; it is cleared,
+  /// capacity intact, when the batch completes.
+  std::vector<RequestId> inflight;
 };
 
 }  // namespace smiless::serverless

@@ -196,20 +196,44 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
 }
 
 void InstancePool::on_batch_done(AppId app, dag::NodeId node, InstanceId instance_id,
-                                 std::vector<RequestId> requests) {
+                                 SimTime exec_start) {
   prof::ScopeTimer scope(options_.prof, prof::Site::PoolBatchDone);
   auto& f = fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   SMILESS_CHECK_MSG(it != f.instances.end(), "busy instance vanished");
   it->pending = 0;
-  it->inflight.clear();
   it->st = InstanceState::Idle;
 
-  for (RequestId r : requests) tracker_->complete_node(app, node, r);
-  // Hand the slice's storage back before dispatching follow-on work, so the
-  // dispatch inside on_instance_idle can reuse it for the next batch.
-  scheduler_->recycle_slice(std::move(requests));
+  const std::vector<RequestId>& batch = it->inflight;
+  const int batch_n = static_cast<int>(batch.size());
+  if (options_.record_traces) {
+    for (RequestId r : batch) tracker_->record_span(app, node, r, exec_start, batch_n);
+  }
+  if (options_.bus != nullptr) {
+    options_.bus->publish({.type = EventType::BatchEnd,
+                           .t = engine_.now(),
+                           .t2 = exec_start,
+                           .app = app,
+                           .node = node,
+                           .request = batch.front(),
+                           .instance = instance_id,
+                           .count = batch_n});
+    for (RequestId r : batch)
+      options_.bus->publish({.type = EventType::InvocationDone,
+                             .t = engine_.now(),
+                             .t2 = exec_start,
+                             .app = app,
+                             .node = node,
+                             .request = r,
+                             .instance = instance_id,
+                             .count = batch_n});
+  }
+  // complete_node readies only successors of `node` (never `node` itself,
+  // in a DAG) and calls no policy hook, so this function's instance list,
+  // and with it `it` and its batch, cannot change while the loop runs.
+  for (RequestId r : batch) tracker_->complete_node(app, node, r);
+  it->inflight.clear();  // keeps the capacity for the instance's next batch
   on_instance_idle(app, node, instance_id);
 }
 

@@ -29,7 +29,8 @@ class RequestTracker;
 /// reaping, machine-down eviction with in-flight re-dispatch, and the
 /// bounded-exponential-backoff cold-start retry ladder. Publishes obs:
 /// InstanceCreated, InstanceReady, InstanceInitFailed, InstanceTerminated,
-/// InstanceEvicted, PrewarmFired, PrewarmSkipped, RetryScheduled.
+/// InstanceEvicted, PrewarmFired, PrewarmSkipped, RetryScheduled, BatchEnd,
+/// InvocationDone.
 class InstancePool {
  public:
   /// Instance counts of one app at a window boundary (Gateway census).
@@ -63,10 +64,12 @@ class InstancePool {
   /// when the budget is exhausted, everything queued at the node fails.
   void ensure_capacity(AppId app, dag::NodeId node);
 
-  /// Batch completion: flip the instance back to Idle, complete each
-  /// request's node, then run the idle transition (re-dispatch, reap).
-  void on_batch_done(AppId app, dag::NodeId node, InstanceId instance_id,
-                     std::vector<RequestId> requests);
+  /// Batch completion of the instance's `inflight` batch, which started at
+  /// `exec_start`: flip the instance back to Idle, record the spans,
+  /// publish BatchEnd and each InvocationDone, complete each request's
+  /// node, then clear the batch and run the idle transition (re-dispatch,
+  /// reap).
+  void on_batch_done(AppId app, dag::NodeId node, InstanceId instance_id, SimTime exec_start);
 
   /// Reconcile instances with a new plan: reap stale-config idle instances
   /// above the floor, then raise the instance count to the new floor.
@@ -75,9 +78,7 @@ class InstancePool {
   /// Schedule a pre-warm: at `init_start`, create a fresh instance (cold
   /// init begins then) unless an existing instance is expected to still be
   /// warm when the pre-warmed one would become ready.
-  sim::EventId prewarm_at(AppId app, dag::NodeId node, SimTime init_start);
-  void cancel_prewarm(sim::EventId id);
-  void clear_prewarms(AppId app, dag::NodeId node);
+  void prewarm_at(AppId app, dag::NodeId node, SimTime init_start);
 
   /// Force-create one instance under the function's current plan.
   bool spawn(AppId app, dag::NodeId node);

@@ -91,16 +91,16 @@ void InstancePool::apply_plan(AppId app, dag::NodeId node, const FunctionPlan& p
   }
 }
 
-sim::EventId InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
+void InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
   auto& f = fn(app, node);
   const SimTime at = std::max(init_start, engine_.now());
   const sim::EventId id = engine_.schedule_at(at, [this, app, node] {
     if (halted_) return;
     auto& fs = fn(app, node);
     // A fired timer drops its own handle, so the list holds exactly the
-    // pending ones for clear_prewarms and finalize to cancel. Timers due
-    // at one instant fire in scheduling order, which is list order, so the
-    // first handle due now is this timer's.
+    // pending ones for finalize to cancel. Timers due at one instant fire
+    // in scheduling order, which is list order, so the first handle due
+    // now is this timer's.
     const auto self = std::find_if(fs.prewarms.begin(), fs.prewarms.end(),
                                    [&](const PrewarmHandle& h) { return h.at == engine_.now(); });
     SMILESS_CHECK(self != fs.prewarms.end());
@@ -143,22 +143,6 @@ sim::EventId InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_
     create_instance(app, node, plan.config);
   });
   f.prewarms.push_back({at, id});
-  return id;
-}
-
-void InstancePool::cancel_prewarm(sim::EventId id) {
-  // A handle that already fired or was cancelled has left its list.
-  if (!engine_.cancel(id)) return;
-  for (auto& fns : apps_)
-    for (auto& f : fns)
-      if (std::erase_if(f.prewarms, [id](const PrewarmHandle& h) { return h.id == id; }) > 0)
-        return;
-}
-
-void InstancePool::clear_prewarms(AppId app, dag::NodeId node) {
-  auto& f = fn(app, node);
-  for (const PrewarmHandle& h : f.prewarms) engine_.cancel(h.id);
-  f.prewarms.clear();
 }
 
 bool InstancePool::spawn(AppId app, dag::NodeId node) {

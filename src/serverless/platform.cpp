@@ -83,21 +83,15 @@ const FunctionPlan& Platform::plan(AppId app, dag::NodeId node) const {
   return scheduler_.plan(app, node);
 }
 
-sim::EventId Platform::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
-  return pool_.prewarm_at(app, node, init_start);
+void Platform::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
+  pool_.prewarm_at(app, node, init_start);
 }
-
-void Platform::cancel_prewarm(sim::EventId id) { pool_.cancel_prewarm(id); }
-
-void Platform::clear_prewarms(AppId app, dag::NodeId node) { pool_.clear_prewarms(app, node); }
 
 bool Platform::spawn_instance(AppId app, dag::NodeId node) { return pool_.spawn(app, node); }
 
 // --- introspection -----------------------------------------------------------
 
 SimTime Platform::now() const { return engine_.now(); }
-
-const apps::App& Platform::app_spec(AppId app) const { return table_.spec(app); }
 
 int Platform::instances_total(AppId app, dag::NodeId node) const {
   return pool_.count_total(app, node);
@@ -122,9 +116,5 @@ std::size_t Platform::queue_length(AppId app, dag::NodeId node) const {
 const AppMetrics& Platform::metrics(AppId app) const { return ledger_.metrics(app); }
 
 long Platform::in_flight(AppId app) const { return ledger_.in_flight(app); }
-
-const std::vector<int>& Platform::arrival_counts(AppId app) const {
-  return gateway_.arrival_counts(app);
-}
 
 }  // namespace smiless::serverless

@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <memory>
-#include <vector>
 
 #include "apps/app.hpp"
 #include "cluster/cluster.hpp"
@@ -62,12 +61,6 @@ struct PlatformOptions {
   double request_timeout = std::numeric_limits<double>::infinity();
 
   bool record_traces = false;   ///< keep per-request NodeSpan traces (§IV-A events)
-
-  /// Lane id of the hosting platform inside a sharded cell (0 for the
-  /// ordinary unsharded platform). Surfaced to policies via
-  /// PlatformView::lane(). Set programmatically by ShardedPlatform —
-  /// deliberately not serialized.
-  int lane = 0;
 
   /// Optional fault source (non-owning; must outlive the platform). When
   /// null or disabled the platform behaves exactly like the fault-free
@@ -156,12 +149,9 @@ class Platform {
   const FunctionPlan& plan(AppId app, dag::NodeId node) const;
 
   /// Schedule a pre-warm: at `init_start`, create a fresh instance (cold
-  /// init begins then) unless the function already has a non-busy instance.
-  /// Returns a handle usable with cancel_prewarm.
-  sim::EventId prewarm_at(AppId app, dag::NodeId node, SimTime init_start);
-  void cancel_prewarm(sim::EventId id);
-  /// Cancel all pending pre-warms of a function.
-  void clear_prewarms(AppId app, dag::NodeId node);
+  /// init begins then) unless an existing instance is expected to still be
+  /// warm when the pre-warmed one would become ready.
+  void prewarm_at(AppId app, dag::NodeId node, SimTime init_start);
 
   /// Force-create one instance now (cold). Returns false if the cluster had
   /// no capacity.
@@ -170,9 +160,6 @@ class Platform {
   // --- introspection -------------------------------------------------------
 
   SimTime now() const;
-  /// Lane id inside a sharded cell (PlatformOptions::lane; 0 unsharded).
-  int lane() const { return options_.lane; }
-  const apps::App& app_spec(AppId app) const;
   int instances_total(AppId app, dag::NodeId node) const;
   int instances_idle(AppId app, dag::NodeId node) const;
   int instances_initializing(AppId app, dag::NodeId node) const;
@@ -182,10 +169,6 @@ class Platform {
   const AppMetrics& metrics(AppId app) const;
   /// Requests still pending (submitted - completed - failed).
   long in_flight(AppId app) const;
-
-  /// Per-window arrival counts observed by the Gateway so far (the series
-  /// the Online Predictor trains on).
-  const std::vector<int>& arrival_counts(AppId app) const;
 
   /// The platform's books: per-instance BillingRecords and metrics.
   const Ledger& ledger() const { return ledger_; }

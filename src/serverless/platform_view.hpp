@@ -30,12 +30,11 @@ class PlatformView {
   }
 
   /// Schedule a pre-warm: at `init_start`, create a fresh instance (cold
-  /// init begins then) unless the function already has a non-busy instance.
-  sim::EventId prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
-    return platform_->prewarm_at(app, node, init_start);
+  /// init begins then) unless an existing instance is expected to still be
+  /// warm when the pre-warmed one would become ready.
+  void prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
+    platform_->prewarm_at(app, node, init_start);
   }
-  void cancel_prewarm(sim::EventId id) { platform_->cancel_prewarm(id); }
-  void clear_prewarms(AppId app, dag::NodeId node) { platform_->clear_prewarms(app, node); }
 
   /// Force-create one instance now (cold). Returns false if the cluster had
   /// no capacity.
@@ -46,9 +45,6 @@ class PlatformView {
   // --- introspection --------------------------------------------------------
 
   SimTime now() const { return platform_->now(); }
-  /// Lane id of the hosting platform (0 unless sharded).
-  int lane() const { return platform_->lane(); }
-  const apps::App& app_spec(AppId app) const { return platform_->app_spec(app); }
   int instances_total(AppId app, dag::NodeId node) const {
     return platform_->instances_total(app, node);
   }
@@ -65,10 +61,6 @@ class PlatformView {
     return platform_->queue_length(app, node);
   }
   const AppMetrics& metrics(AppId app) const { return platform_->metrics(app); }
-  long in_flight(AppId app) const { return platform_->in_flight(app); }
-  const std::vector<int>& arrival_counts(AppId app) const {
-    return platform_->arrival_counts(app);
-  }
 
  private:
   Platform* platform_;

@@ -1,6 +1,7 @@
 #include "serverless/sharding.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,6 +49,13 @@ ShardedPlatform::ShardedPlatform(ShardOptions options) : options_(std::move(opti
   SMILESS_CHECK(options_.lanes >= 1);
   SMILESS_CHECK(options_.lane_threads >= 0);
   SMILESS_CHECK(options_.machines >= 1);
+  // build_lanes hands each lane only the crashes on its machine slice, so a
+  // crash on a machine outside the fleet would silently never happen.
+  for (const auto& c : options_.faults.crashes)
+    if (c.machine < 0 || static_cast<std::size_t>(c.machine) >= options_.machines)
+      throw std::invalid_argument("scheduled crash on machine " + std::to_string(c.machine) +
+                                  " is outside the fleet of " +
+                                  std::to_string(options_.machines) + " machines");
 }
 
 ShardedPlatform::~ShardedPlatform() = default;
@@ -142,7 +150,6 @@ void ShardedPlatform::build_lanes() {
       lane->engine.set_profiler(lane->prof.get());
     }
     PlatformOptions popt = options_.platform;
-    popt.lane = lane_id;
     popt.faults = lane->injector.enabled() ? &lane->injector : nullptr;
     popt.bus = lane->telemetry != nullptr ? &lane->telemetry->bus() : nullptr;
     popt.prof = lane->prof.get();

@@ -45,8 +45,8 @@ struct ShardOptions {
   perf::Pricing pricing;
 
   /// Per-lane platform knobs; `window_seconds` doubles as the period of
-  /// each lane's arrival injection. `lane` and the fault/bus pointers are
-  /// overwritten per lane.
+  /// each lane's arrival injection. The fault, bus and profiler pointers
+  /// are overwritten per lane.
   PlatformOptions platform;
 
   /// Cell-wide fault model. Scheduled crashes are filtered to each lane's

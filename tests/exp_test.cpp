@@ -250,6 +250,47 @@ TEST(ExpConfig, RejectsRegularDurationNotAboveInterval) {
                       {"'duration'", "got inf"});
 }
 
+TEST(ExpConfig, RejectsFaultProbabilityAboveOne) {
+  expect_config_error(R"({"faults": {"init_failure_prob": 1.5}})",
+                      {"'init_failure_prob'", "got 1.5"});
+}
+
+/// Run `fn` and expect an exception whose message contains every one of
+/// `needles`.
+template <class Fn>
+void expect_error(Fn&& fn, const std::vector<std::string>& needles) {
+  try {
+    fn();
+    FAIL() << "expected an error naming " << needles.front();
+  } catch (const std::exception& e) {
+    for (const std::string& n : needles)
+      EXPECT_NE(std::string(e.what()).find(n), std::string::npos) << e.what();
+  }
+}
+
+TEST(ExpTrace, GridDurationNotAboveRegularIntervalIsRejected) {
+  // The base trace passes its reader; the durations axis then sets a
+  // duration below the interval.
+  const auto grid = exp::ExperimentGrid::from_json(json::Value::parse(
+      R"({"base": {"app": "wl1", "trace": {"kind": "regular", "interval": 5}},
+          "axes": {"durations": [3]}})"));
+  const auto cells = grid.expand();
+  ASSERT_EQ(cells.size(), 1u);
+  const apps::App app = exp::resolve_app(cells[0]);
+  expect_error([&] { exp::build_trace(cells[0], app); },
+               {"'duration'", "interval (5.0)", "got 3.0"});
+}
+
+TEST(ExpTrace, OverriddenDurationNotAboveRegularIntervalIsRejected) {
+  // What `--duration 3` does to a --config whose regular trace was valid.
+  auto config = exp::ExperimentConfig::from_json(
+      json::Value::parse(R"({"app": "wl1", "trace": {"kind": "regular", "interval": 5}})"));
+  config.trace.duration = 3.0;
+  const apps::App app = exp::resolve_app(config);
+  expect_error([&] { exp::build_trace(config, app); },
+               {"'duration'", "interval (5.0)", "got 3.0"});
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;
@@ -361,6 +402,61 @@ TEST(ExpRunner, RunCellMatchesDirectExperiment) {
   EXPECT_EQ(cell.result.completed, direct.completed);
   EXPECT_EQ(cell.result.initializations, direct.initializations);
   EXPECT_EQ(cell.result.e2e, direct.e2e);
+}
+
+/// A cheap cell whose fault knobs a test then sets out of range, as a CLI
+/// flag or a grid axis does after the config was read.
+exp::ExperimentConfig small_cell() {
+  exp::ExperimentConfig config;
+  config.app = "wl1";
+  config.policy = "orion";
+  config.use_lstm = false;
+  config.trace.kind = "regular";
+  config.trace.interval = 5.0;
+  config.trace.duration = 60.0;
+  return config;
+}
+
+/// exp::execute_cell, the step every run path (single run, sweep, serve)
+/// reaches once the CLI flags and the grid's axes are applied.
+void execute(const exp::ExperimentConfig& config) {
+  exp::Runner runner({/*threads=*/1, /*policy_threads=*/1});
+  exp::execute_cell(config, runner.profiles(config.profile_seed), runner.policy_pool(),
+                    /*lane_threads=*/1, nullptr, nullptr, nullptr);
+}
+
+TEST(ExpRunner, ExecuteCellRejectsInitFailureProbFromGridAxis) {
+  exp::ExperimentGrid grid;
+  grid.base = small_cell();
+  grid.init_failure_probs = {1.5};
+  const auto cells = grid.expand();
+  ASSERT_EQ(cells.size(), 1u);
+  expect_error([&] { execute(cells[0]); }, {"'init_failure_prob'", "got 1.5"});
+}
+
+TEST(ExpRunner, ExecuteCellRejectsInitFailureProbAboveOne) {
+  auto config = small_cell();
+  config.faults.init_failure_prob = 1.5;  // --fault-init-p 1.5
+  expect_error([&] { execute(config); }, {"'init_failure_prob'", "got 1.5"});
+}
+
+TEST(ExpRunner, ExecuteCellRejectsStragglerFactorBelowOne) {
+  auto config = small_cell();
+  config.faults.straggler_factor = 0.5;  // --fault-straggler-x 0.5
+  expect_error([&] { execute(config); }, {"'straggler_factor'", "got 0.5"});
+}
+
+TEST(ExpRunner, ExecuteCellRejectsZeroMttr) {
+  auto config = small_cell();
+  config.faults.mttr = 0.0;  // --fault-mttr 0 --fault-crash-rate 0.01
+  config.faults.crash_rate = 0.01;
+  expect_error([&] { execute(config); }, {"'mttr'", "got 0.0"});
+}
+
+TEST(ExpRunner, ExecuteCellRejectsCrashOutsideTheFleet) {
+  auto config = small_cell();
+  config.faults.crashes.push_back({/*machine=*/99, /*at=*/5.0, /*duration=*/30.0});
+  expect_error([&] { execute(config); }, {"machine 99", "fleet of 8 machines"});
 }
 
 TEST(ExpRunner, RecordedTracesAreTheRunsOwnRequests) {

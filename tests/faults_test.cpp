@@ -2,12 +2,16 @@
 
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/catalog.hpp"
 #include "cluster/cluster.hpp"
+#include "common/json.hpp"
 #include "faults/fault_injector.hpp"
+#include "faults/fault_io.hpp"
 #include "serverless/platform.hpp"
 #include "serverless/platform_view.hpp"
 #include "sim/engine.hpp"
@@ -144,6 +148,50 @@ TEST(FaultInjector, RandomCrashesRespectHorizonAndRecover) {
 }
 
 // --- Platform failure semantics ---------------------------------------------
+
+/// Parse `doc` as a FaultSpec and expect an error naming `key` and the
+/// value it got.
+void expect_fault_error(const std::string& doc, const std::string& key,
+                        const std::string& got) {
+  try {
+    faults::fault_spec_from_json(json::Value::parse(doc));
+    FAIL() << "fault spec must be rejected: " << doc;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("got " + got), std::string::npos) << e.what();
+  }
+}
+
+TEST(FaultIo, RejectsProbabilitiesOutsideUnitInterval) {
+  expect_fault_error(R"({"init_failure_prob": 1.5})", "init_failure_prob", "1.5");
+  expect_fault_error(R"({"straggler_prob": -0.1})", "straggler_prob", "-0.1");
+}
+
+TEST(FaultIo, RejectsStragglerFactorBelowOne) {
+  expect_fault_error(R"({"straggler_factor": 0.5})", "straggler_factor", "0.5");
+}
+
+TEST(FaultIo, RejectsNegativeCrashRate) {
+  expect_fault_error(R"({"crash_rate": -0.01})", "crash_rate", "-0.01");
+}
+
+TEST(FaultIo, RejectsNonPositiveMttr) {
+  expect_fault_error(R"({"mttr": 0})", "mttr", "0.0");
+}
+
+TEST(FaultIo, RejectsNonPositiveCrashDuration) {
+  expect_fault_error(R"({"crashes": [{"machine": 1, "at": 5, "duration": 30},
+                                     {"machine": 2, "at": 5, "duration": 0}]})",
+                     "crashes[1].duration", "0.0");
+}
+
+TEST(FaultIo, AcceptsTheBoundaries) {
+  const faults::FaultSpec spec = faults::fault_spec_from_json(json::Value::parse(
+      R"({"init_failure_prob": 1, "straggler_prob": 0, "straggler_factor": 1,
+          "crash_rate": 0})"));
+  EXPECT_EQ(spec.init_failure_prob, 1.0);
+  EXPECT_EQ(spec.straggler_factor, 1.0);
+}
 
 TEST(PlatformFaults, InitFailureRetriesUntilSuccess) {
   // Fail every init with p=0.5; with unbounded retries the request must

@@ -124,12 +124,11 @@ TEST(Platform, KeepaliveZeroTerminatesAfterUse) {
   Fixture f;
   FunctionPlan plan = warm_plan();
   plan.keepalive = 0.0;
-  const auto id =
-      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
+  const auto app = apps::make_voice_assistant();
+  const auto id = f.platform->deploy(app, std::make_shared<FixedPolicy>(plan));
   f.platform->submit_request(id, 1.0);
   f.engine.run_until(100.0);
 
-  const auto& app = f.platform->app_spec(id);
   for (std::size_t n = 0; n < app.dag.size(); ++n)
     EXPECT_EQ(f.platform->instances_total(id, static_cast<dag::NodeId>(n)), 0);
   f.platform->finalize(100.0);
@@ -251,11 +250,11 @@ TEST(Platform, WindowSamplesRecordArrivals) {
   f.platform->submit_request(id, 2.5);
   f.engine.run_until(5.0);
 
-  const auto& counts = f.platform->arrival_counts(id);
-  ASSERT_GE(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_EQ(counts[2], 1);
+  const auto& windows = f.platform->metrics(id).windows;
+  ASSERT_GE(windows.size(), 3u);
+  EXPECT_EQ(windows[0].arrivals, 2);
+  EXPECT_EQ(windows[1].arrivals, 0);
+  EXPECT_EQ(windows[2].arrivals, 1);
   f.platform->finalize(5.0);
 }
 
@@ -395,62 +394,6 @@ TEST(Platform, FinalizeIsIdempotent) {
   EXPECT_DOUBLE_EQ(f.platform->metrics(id).total_cost(), cost);
 }
 
-TEST(Platform, ClearPrewarmsCancelsScheduledWarmups) {
-  Fixture f;
-  const auto app = apps::make_voice_assistant();
-  FunctionPlan plan = warm_plan();
-  plan.keepalive = 0.0;
-  plan.prewarm_grace = 1.0;
-  const auto id = f.platform->deploy(app, std::make_shared<FixedPolicy>(plan));
-  f.platform->prewarm_at(id, 0, 10.0);
-  f.platform->clear_prewarms(id, 0);
-  f.engine.run_until(30.0);
-  EXPECT_EQ(f.platform->metrics(id).total_initializations(), 0);
-  f.platform->finalize(30.0);
-}
-
-TEST(Platform, CancelPrewarmAfterFiredIsHarmless) {
-  // Cancelling a pre-warm whose timer already fired must neither kill the
-  // instance it created nor disturb anything else (the handle is stale).
-  Fixture f;
-  const auto app = apps::make_voice_assistant();
-  FunctionPlan plan = warm_plan();
-  plan.keepalive = 0.0;
-  plan.prewarm_grace = 50.0;
-  const auto id = f.platform->deploy(app, std::make_shared<FixedPolicy>(plan));
-  const sim::EventId handle = f.platform->prewarm_at(id, 0, 5.0);
-  f.engine.run_until(20.0);  // fired at t=5, instance init done by now
-  EXPECT_EQ(f.platform->metrics(id).per_function[0].initializations, 1);
-  EXPECT_EQ(f.platform->instances_total(id, 0), 1);
-  f.platform->cancel_prewarm(handle);
-  f.engine.run_until(30.0);
-  EXPECT_EQ(f.platform->instances_total(id, 0), 1);
-  EXPECT_EQ(f.platform->metrics(id).per_function[0].initializations, 1);
-  f.platform->finalize(30.0);
-}
-
-TEST(Platform, ClearPrewarmsCancelsAllPendingTimers) {
-  // Several pre-warms queued on the same function: one clear_prewarms call
-  // cancels every pending timer, and only that function's — a sibling
-  // function's pre-warm still fires.
-  Fixture f;
-  const auto app = apps::make_voice_assistant();
-  FunctionPlan plan = warm_plan();
-  plan.keepalive = 0.0;
-  plan.prewarm_grace = 1.0;
-  const auto id = f.platform->deploy(app, std::make_shared<FixedPolicy>(plan));
-  f.platform->prewarm_at(id, 0, 10.0);
-  f.platform->prewarm_at(id, 0, 20.0);
-  f.platform->prewarm_at(id, 0, 30.0);
-  f.platform->prewarm_at(id, 1, 25.0);
-  f.platform->clear_prewarms(id, 0);
-  f.engine.run_until(40.0);
-  const auto& m = f.platform->metrics(id);
-  EXPECT_EQ(m.per_function[0].initializations, 0);
-  EXPECT_EQ(m.per_function[1].initializations, 1);
-  f.platform->finalize(40.0);
-}
-
 TEST(Platform, PrewarmSkippedWhileInstanceStillInitializing) {
   // A pre-warm firing while a cold init is already in progress (instance in
   // the Init state, keep-alive forever) is redundant and must be skipped.
@@ -468,22 +411,6 @@ TEST(Platform, PrewarmSkippedWhileInstanceStillInitializing) {
   f.platform->finalize(100.0);
 }
 
-TEST(Platform, ClearPrewarmsCancelsEveryQueuedTimer) {
-  // A hundred pre-warms queued on one function: clear_prewarms must cancel
-  // every one of them, not only the most recent handles.
-  Fixture f;
-  FunctionPlan plan = warm_plan();
-  plan.keepalive = 0.0;
-  plan.prewarm_grace = 1.0;
-  const auto id =
-      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
-  for (int i = 0; i < 100; ++i) f.platform->prewarm_at(id, 0, 10.0 + 100.0 * i);
-  f.platform->clear_prewarms(id, 0);
-  f.engine.run_until(20000.0);
-  EXPECT_EQ(f.platform->metrics(id).total_initializations(), 0);
-  f.platform->finalize(20000.0);
-}
-
 TEST(Platform, FinalizeCancelsEveryQueuedPrewarm) {
   // After finalize no pre-warm may create (and bill) an instance, however
   // many were queued and however long the engine keeps running.
@@ -498,6 +425,30 @@ TEST(Platform, FinalizeCancelsEveryQueuedPrewarm) {
   f.engine.run_until(20000.0);
   EXPECT_EQ(f.platform->metrics(id).total_initializations(), 0);
   EXPECT_EQ(f.platform->metrics(id).total_cost(), 0.0);
+}
+
+TEST(Platform, FinalizeCancelsExactlyThePendingPrewarms) {
+  // A fired pre-warm drops its own handle, also when a sibling is due at the
+  // same instant, so finalize cancels exactly the timers still pending and
+  // no pre-warm creates an instance after it.
+  Fixture f;
+  FunctionPlan plan = warm_plan();
+  plan.keepalive = 0.0;
+  plan.prewarm_grace = 1.0;
+  const auto id =
+      f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
+  for (const SimTime at : {5.0, 10.0, 10.0, 50.0, 50.0, 70.0})
+    f.platform->prewarm_at(id, 0, at);
+  f.engine.run_until(20.0);  // the three due by t=10 fired; their instances were reaped
+  EXPECT_GE(f.platform->metrics(id).per_function[0].initializations, 2);
+  ASSERT_EQ(f.platform->instances_total(id, 0), 0);
+  const long inits = f.platform->metrics(id).total_initializations();
+  const std::uint64_t cancelled = f.engine.stats().cancelled;
+  f.platform->finalize(20.0);
+  EXPECT_EQ(f.engine.stats().cancelled - cancelled, 3u);
+  f.engine.run_until(200.0);
+  EXPECT_EQ(f.platform->metrics(id).total_initializations(), inits);
+  EXPECT_EQ(f.platform->instances_total(id, 0), 0);
 }
 
 /// One function (0.33 s inference, ~1.8 s init at 4 cores) on a platform
@@ -697,7 +648,7 @@ TEST(WindowTick, AppDeployedLaterKeepsItsOwnGrid) {
   const std::vector<std::pair<AppId, SimTime>> want = {
       {early, 1.0}, {late, 1.25}, {early, 2.0}, {late, 2.25}};
   EXPECT_EQ(log, want);
-  EXPECT_EQ(f.platform->arrival_counts(late).size(), 2u);
+  EXPECT_EQ(f.platform->metrics(late).windows.size(), 2u);
   f.platform->finalize(2.5);
 }
 

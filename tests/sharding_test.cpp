@@ -482,6 +482,31 @@ TEST(Sharding, FailingLaneRethrowsItsError) {
   }
 }
 
+/// build_lanes gives each lane the crashes on its machine slice; a crash on
+/// a machine no lane owns must be an error, not a crash that never happens.
+TEST(Sharding, RejectsScheduledCrashOutsideTheFleet) {
+  for (const int machine : {8, 99, -1}) {
+    SCOPED_TRACE("machine=" + std::to_string(machine));
+    serverless::ShardOptions options;
+    options.machines = 8;
+    options.faults.crashes.push_back({machine, /*at=*/5.0, /*duration=*/30.0});
+    try {
+      serverless::ShardedPlatform cell(options);
+      FAIL() << "a crash on machine " << machine << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("machine " + std::to_string(machine) + " "),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("fleet of 8 machines"), std::string::npos)
+          << e.what();
+    }
+  }
+  serverless::ShardOptions options;
+  options.machines = 8;
+  options.faults.crashes.push_back({7, 5.0, 30.0});
+  EXPECT_NO_THROW(serverless::ShardedPlatform{options});
+}
+
 /// The partition itself is a pure function: stable across calls, total over
 /// lanes, identity-friendly for K=1.
 TEST(Sharding, PartitionIsStableAndTotal) {

@@ -129,44 +129,5 @@ TEST(SlabDeathTest, PoisonedSlotTripsAsan) {
 }
 #endif
 
-TEST(Recycler, AcquireReturnsMostRecentlyReleased) {
-  Recycler<std::vector<int>> rec;
-  std::vector<int> a = rec.acquire();
-  std::vector<int> b = rec.acquire();
-  a.assign(100, 1);
-  b.assign(50, 2);
-  const std::size_t cap_a = a.capacity();
-  rec.release(std::move(a));
-  rec.release(std::move(b));
-  EXPECT_EQ(rec.pooled(), 2u);
-  std::vector<int> c = rec.acquire();  // LIFO: b's storage
-  EXPECT_TRUE(c.empty());             // cleared on release
-  EXPECT_GE(c.capacity(), 50u);       // capacity preserved
-  std::vector<int> d = rec.acquire();
-  EXPECT_GE(d.capacity(), cap_a);
-  EXPECT_EQ(rec.stats().reused, 2u);
-}
-
-TEST(Recycler, CapBoundsThePool) {
-  Recycler<std::string> rec(/*max_pooled=*/2);
-  rec.release(std::string(64, 'x'));
-  rec.release(std::string(64, 'y'));
-  rec.release(std::string(64, 'z'));  // over the cap: dropped, not pooled
-  EXPECT_EQ(rec.pooled(), 2u);
-}
-
-TEST(Recycler, StatsTrackLifetimes) {
-  Recycler<std::vector<int>> rec;
-  auto a = rec.acquire();
-  auto b = rec.acquire();
-  EXPECT_EQ(rec.stats().live, 2u);
-  EXPECT_EQ(rec.stats().peak_live, 2u);
-  rec.release(std::move(a));
-  rec.release(std::move(b));
-  EXPECT_EQ(rec.stats().live, 0u);
-  EXPECT_EQ(rec.stats().created, 2u);
-  EXPECT_EQ(rec.stats().destroyed, 2u);
-}
-
 }  // namespace
 }  // namespace smiless::common

@@ -17,6 +17,7 @@
 #   tools/ci.sh shard      # lanes=1 vs lanes=4 artifact bit-identity smoke
 #   tools/ci.sh obs        # observability artifacts + HTML report + profiler smoke
 #   tools/ci.sh serve      # wall-clock serve mode vs DES equivalence smoke
+#   tools/ci.sh inputs     # bad config/grid/trace/flag input exits 2 naming it
 #   tools/ci.sh full /tmp/ci
 set -euo pipefail
 
@@ -25,7 +26,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${repo}"
 mode="full"
 case "${1:-}" in
-  lint|tsan|golden|bench|shard|obs|serve|full) mode="$1"; shift ;;
+  lint|tsan|golden|bench|shard|obs|serve|inputs|full) mode="$1"; shift ;;
 esac
 prefix="${1:-${repo}/build-ci}"
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -477,6 +478,69 @@ EOF
   echo "[serve] wall-clock replay matches the DES trajectory OK"
 }
 
+# Bad-input smoke: each input below exits 2 with an error that names the
+# key, file, app or machine at fault on stderr. It must never abort (exit
+# 134) and never run as if the input were fine (exit 0). The inputs are an
+# unknown app, a missing or malformed trace file, an unknown or wrong-typed
+# config key, a knob out of range in a config file, a grid axis or a flag,
+# and a scheduled crash outside the fleet.
+inputs_smoke() {
+  echo "==== [inputs] bad input exits 2 and names the problem ===="
+  local dir fails=0
+  dir="$(mktemp -d)"
+  # expect_rejected <needle> <smiless args...>
+  expect_rejected() {
+    local needle="$1" rc=0
+    shift
+    "${prefix}/tools/smiless" "$@" > "${dir}/stdout.txt" 2> "${dir}/stderr.txt" || rc=$?
+    if [ "${rc}" -eq 2 ] && grep -qF -- "${needle}" "${dir}/stderr.txt"; then
+      echo "[inputs] exit 2 naming ${needle} OK"
+    else
+      echo "[inputs] ERROR: exit ${rc}, want 2 naming ${needle}: smiless $*"
+      sed 's/^/[inputs]   | /' "${dir}/stderr.txt" | head -5
+      fails=$((fails + 1))
+    fi
+  }
+  local cell='"app": "wl1", "policy": "orion", "use_lstm": false'
+  printf 'abc\n' > "${dir}/bad.csv"
+  echo "{${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 5}}" > "${dir}/regular.json"
+  echo "{\"base\": {${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 5}}," \
+       "\"axes\": {\"durations\": [3]}}" > "${dir}/grid_duration.json"
+  echo "{\"base\": {${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 5," \
+       "\"duration\": 60}}, \"axes\": {\"init_failure_probs\": [1.5]}}" > "${dir}/grid_faults.json"
+  echo '{"base": {"app": "nosuch", "policy": "orion", "use_lstm": false}}' > "${dir}/grid_app.json"
+  echo '{"faults": {"init_failure_prob": 1.5}}' > "${dir}/faults.json"
+  echo '{"seeed": 1}' > "${dir}/seeed.json"
+  echo '{"sla": "fast"}' > "${dir}/sla.json"
+  echo '{"platform": {"window_seconds": 0}}' > "${dir}/window.json"
+  echo '{"trace": {"kind": "regular", "interval": -1}}' > "${dir}/interval.json"
+  local run=(--app wl1 --policy orion --no-lstm --duration 60)
+
+  expect_rejected "unknown app 'nosuch'" --app nosuch --duration 60
+  expect_rejected "${dir}/nonexistent.csv" --app wl1 --trace "${dir}/nonexistent.csv"
+  expect_rejected "line 1: expected a timestamp, got 'abc'" --app wl1 --trace "${dir}/bad.csv"
+  expect_rejected "'nosuch'" --sweep "${dir}/grid_app.json"
+  expect_rejected "'duration'" --sweep "${dir}/grid_duration.json"
+  expect_rejected "'duration'" --config "${dir}/regular.json" --duration 3
+  expect_rejected "'init_failure_prob'" --config "${dir}/faults.json"
+  expect_rejected "'init_failure_prob'" --sweep "${dir}/grid_faults.json"
+  expect_rejected "'init_failure_prob'" "${run[@]}" --fault-init-p 1.5
+  expect_rejected "'straggler_factor'" "${run[@]}" --fault-straggler-x 0.5
+  expect_rejected "'mttr'" "${run[@]}" --fault-mttr 0 --fault-crash-rate 0.01
+  expect_rejected "machine 99 " "${run[@]}" --fault-crash 99@5:30
+  expect_rejected "machine -1 " "${run[@]}" --fault-crash -1@5:30
+  expect_rejected "'seeed'" --config "${dir}/seeed.json"
+  expect_rejected "'sla'" --config "${dir}/sla.json"
+  expect_rejected "'window_seconds'" --config "${dir}/window.json"
+  expect_rejected "'interval'" --config "${dir}/interval.json"
+  rm -rf "${dir}"
+  if [ "${fails}" -ne 0 ]; then
+    echo "[inputs] ERROR: ${fails} bad input(s) not rejected cleanly"
+    return 1
+  fi
+  echo "[inputs] every bad input exits 2 and names the problem OK"
+}
+
 # Throughput-bench smoke: a shrunken version of the large BENCH_throughput
 # cell (bench/bench_throughput.cpp) must run end-to-end, keep both queue
 # impls on identical trajectories (the binary exits non-zero otherwise) and
@@ -660,6 +724,14 @@ case "${mode}" in
     echo "==== serve green ===="
     exit 0
     ;;
+  inputs)
+    echo "==== [inputs] configure + build ===="
+    configure_flavor ci "${prefix}"
+    cmake --build "${prefix}" --target smiless_cli -j "${jobs}"
+    inputs_smoke
+    echo "==== inputs green ===="
+    exit 0
+    ;;
 esac
 
 run_flavor default ci "${prefix}"
@@ -669,6 +741,7 @@ golden_smoke
 obs_smoke
 shard_smoke
 serve_smoke
+inputs_smoke
 bench_smoke
 run_flavor asan asan "${prefix}-asan" -DSMILESS_SANITIZE=address
 run_flavor ubsan ubsan "${prefix}-ubsan" -DSMILESS_SANITIZE=undefined

@@ -319,13 +319,8 @@ int run_serve(const CliOptions& cli) {
   }
 
   exp::Runner runner(cli.runner);
-  exp::ServeReport report;
-  try {
-    report = exp::serve(cfg, runner.profiles(cfg.profile_seed), runner.policy_pool(), sopt);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  const exp::ServeReport report =
+      exp::serve(cfg, runner.profiles(cfg.profile_seed), runner.policy_pool(), sopt);
   if (cfg.obs.any()) exp::write_artifacts({report.cell}, cfg.obs);
   print_summary_table({report.cell}, cfg.faults.any());
 
@@ -341,13 +336,7 @@ int run_serve(const CliOptions& cli) {
 }
 
 int run_sweep(const CliOptions& cli) {
-  exp::ExperimentGrid grid;
-  try {
-    grid = exp::ExperimentGrid::load(cli.sweep_file);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  exp::ExperimentGrid grid = exp::ExperimentGrid::load(cli.sweep_file);
   // CLI observability flags overlay the grid's base config field-by-field,
   // so a grid file can name defaults and the command line can add to them.
   if (!cli.config.obs.trace_out.empty()) grid.base.obs.trace_out = cli.config.obs.trace_out;
@@ -417,11 +406,9 @@ int run_sweep(const CliOptions& cli) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions cli = parse_cli(argc, argv);
-
+/// Everything after flag parsing: --save-config, a sweep, `serve` or a
+/// single run.
+int run(const CliOptions& cli, const char* argv0) {
   if (!cli.save_config.empty()) {
     json::save_file(cli.config.to_json(), cli.save_config);
     std::cout << "Wrote config to " << cli.save_config << "\n";
@@ -443,7 +430,7 @@ int main(int argc, char** argv) {
 
   // One cell per requested policy; the runner executes them concurrently.
   std::vector<exp::ExperimentConfig> cells_cfg;
-  for (const auto& policy : resolve_policies(argv[0], cli.policy)) {
+  for (const auto& policy : resolve_policies(argv0, cli.policy)) {
     auto cfg = cli.config;
     cfg.policy = policy;
     cells_cfg.push_back(std::move(cfg));
@@ -465,4 +452,19 @@ int main(int argc, char** argv) {
       std::cout << serverless::format_trace(traces[i], app.dag);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions cli = parse_cli(argc, argv);
+  // One error exit for every run path: input that fails once the run has
+  // started (an unknown app, an unreadable or malformed trace, a knob out
+  // of range) exits 2 with its message, like a bad flag.
+  try {
+    return run(cli, argv[0]);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }
