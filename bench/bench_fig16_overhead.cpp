@@ -4,16 +4,23 @@
 //     enumeration and a constrained-shortest-path dynamic program);
 // (b) the Auto-scaler's per-function solve time (paper: < 0.1 ms).
 // Uses google-benchmark for robust timing, then prints the Fig. 16a series.
+// The google-benchmark section also times the Online Predictor's per-window
+// cost (BM_LstmPredict*, the LSTM classifier plus the dual-input
+// inter-arrival LSTM at the SmilessOptions defaults) and its training
+// (BM_LstmFit).
 #include <benchmark/benchmark.h>
 
 #include "apps/catalog.hpp"
 #include "bench/bench_common.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/autoscaler.hpp"
 #include "core/strategy_optimizer.hpp"
 #include "core/workflow_manager.hpp"
 #include "exp/runner.hpp"
 #include "obs/audit.hpp"
+#include "predictor/invocation_classifier.hpp"
+#include "predictor/lstm_regressor.hpp"
 
 using namespace smiless;
 
@@ -71,6 +78,93 @@ void BM_WorkflowManagerFullDag(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkflowManagerFullDag)->Unit(benchmark::kMicrosecond);
+
+// --- Online Predictor (§IV-B) -------------------------------------------------
+//
+// The two LSTM predictors SmilessPolicy consults every window, at its
+// defaults: the invocation classifier fitted on 240 windows of counts (its
+// train_after) and the dual-input inter-arrival predictor on 300 gaps.
+
+constexpr std::size_t kCountWindows = 240;
+constexpr std::size_t kGaps = 300;
+constexpr std::size_t kHistory = 4096;  ///< series length the predict benches slide over
+
+struct PredictorSeries {
+  std::vector<double> counts, gaps, aux;
+
+  PredictorSeries() : counts(kHistory), gaps(kHistory), aux(kHistory) {
+    Rng rng(7);
+    for (std::size_t i = 0; i < kHistory; ++i) {
+      counts[i] = 1.0 + rng.poisson(3.0);
+      gaps[i] = 0.05 + rng.exponential(3.0);
+      aux[i] = counts[i];
+    }
+  }
+};
+
+const PredictorSeries& predictor_series() {
+  static const PredictorSeries series;
+  return series;
+}
+
+struct FittedPredictors {
+  predictor::InvocationClassifier classifier;
+  predictor::DualLstmRegressor dual;
+
+  FittedPredictors() {
+    const auto& s = predictor_series();
+    classifier.fit(std::span<const double>(s.counts.data(), kCountWindows));
+    dual.fit(std::span<const double>(s.gaps.data(), kGaps),
+             std::span<const double>(s.aux.data(), kGaps));
+  }
+};
+
+FittedPredictors& fitted_predictors() {
+  // detlint:allow(global-state) fitted once per process (about a second); benchmarks run serially
+  static FittedPredictors fitted;
+  return fitted;
+}
+
+/// One window's predictions over the first `n` values of each series.
+double predict_window(FittedPredictors& p, std::size_t n) {
+  const auto& s = predictor_series();
+  return p.classifier.predict_next(std::span<const double>(s.counts.data(), n)) +
+         p.dual.predict_next(std::span<const double>(s.gaps.data(), n),
+                             std::span<const double>(s.aux.data(), n));
+}
+
+void BM_LstmPredict(benchmark::State& state) {
+  auto& p = fitted_predictors();
+  // The history grows by one value every call, so no call sees the window
+  // of the call before it.
+  std::size_t n = 32;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predict_window(p, n));
+    n = n + 1 < kHistory ? n + 1 : 32;
+  }
+}
+BENCHMARK(BM_LstmPredict)->Unit(benchmark::kMicrosecond);
+
+void BM_LstmPredictRepeat(benchmark::State& state) {
+  auto& p = fitted_predictors();
+  // The same window every call: no new gap arrived and the count tail
+  // repeated, as in an idle stretch.
+  for (auto _ : state) benchmark::DoNotOptimize(predict_window(p, 64));
+}
+BENCHMARK(BM_LstmPredictRepeat)->Unit(benchmark::kMicrosecond);
+
+void BM_LstmFit(benchmark::State& state) {
+  const auto& s = predictor_series();
+  for (auto _ : state) {
+    predictor::InvocationClassifier classifier;
+    classifier.fit(std::span<const double>(s.counts.data(), kCountWindows));
+    predictor::DualLstmRegressor dual;
+    dual.fit(std::span<const double>(s.gaps.data(), kGaps),
+             std::span<const double>(s.aux.data(), kGaps));
+    benchmark::DoNotOptimize(classifier.predict_next(s.counts));
+  }
+}
+BENCHMARK(BM_LstmFit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
