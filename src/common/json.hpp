@@ -48,6 +48,9 @@ class Value {
   Value(double v) : v_(std::in_place_type<double>, v) {}
   Value(const char* s) : v_(std::in_place_type<std::string>, s) {}
   Value(std::string s) : v_(std::in_place_type<std::string>, std::move(s)) {}
+  /// An object with exactly these members, in this order (keys are not
+  /// checked for duplicates).
+  explicit Value(Object members) : v_(std::in_place_type<Object>, std::move(members)) {}
 
   static Value array() {
     Value v;

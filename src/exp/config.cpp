@@ -24,19 +24,32 @@ int lane_count(long long v) {
   return static_cast<int>(v);
 }
 
-/// generate_regular_trace's preconditions. Checked where a config is read
-/// and again where the trace is built, after every override (a grid's
+/// The trace generators' preconditions. Checked where a config is read and
+/// again where the trace is built, after every override (a grid's
 /// `durations` axis, the CLI's --duration), so a bad trace exits with this
-/// message instead of aborting mid-run.
-void check_regular_trace(const TraceSpec& t) {
-  if (t.kind != "regular") return;
-  if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
-  if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
-  if (!(std::isfinite(t.duration) && t.duration > t.interval))
-    json::reject("duration",
-                 "finite and > interval (" + json::Value::format_double(t.interval) +
-                     ") for a regular trace",
-                 t.duration);
+/// message instead of aborting, or silently generating nothing, mid-run.
+void check_trace(const TraceSpec& t) {
+  if (t.kind == "csv") return;
+  if (t.kind == "regular") {
+    if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
+    if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
+    if (!(std::isfinite(t.duration) && t.duration > t.interval))
+      json::reject("duration",
+                   "finite and > interval (" + json::Value::format_double(t.interval) +
+                       ") for a regular trace",
+                   t.duration);
+    return;
+  }
+  if (!(std::isfinite(t.duration) && t.duration > 0.0))
+    json::reject("duration", "finite and > 0 for a generated trace", t.duration);
+  if (t.kind == "burst") {
+    if (!(t.quiet_rate >= 0.0)) json::reject("quiet_rate", ">= 0 for a burst trace", t.quiet_rate);
+    if (!(t.peak_rate >= t.quiet_rate))
+      json::reject("peak_rate",
+                   ">= quiet_rate (" + json::Value::format_double(t.quiet_rate) +
+                       ") for a burst trace",
+                   t.peak_rate);
+  }
 }
 
 }  // namespace
@@ -67,7 +80,7 @@ TraceSpec TraceSpec::from_json(const json::Value& v) {
   t.quiet_rate = v.get("quiet_rate", t.quiet_rate);
   t.peak_rate = v.get("peak_rate", t.peak_rate);
   t.file = v.get("file", t.file);
-  check_regular_trace(t);
+  check_trace(t);
   return t;
 }
 
@@ -132,11 +145,15 @@ ExperimentConfig ExperimentConfig::from_json(const json::Value& v) {
   c.app = v.get("app", c.app);
   c.policy = v.get("policy", c.policy);
   c.sla = v.get("sla", c.sla);
+  if (!(c.sla > 0.0)) json::reject("sla", "> 0", c.sla);
   c.use_lstm = v.get("use_lstm", c.use_lstm);
   c.seed = static_cast<std::uint64_t>(v.get("seed", static_cast<long long>(c.seed)));
   c.profile_seed =
       static_cast<std::uint64_t>(v.get("profile_seed", static_cast<long long>(c.profile_seed)));
   c.drain_slack = v.get("drain_slack", c.drain_slack);
+  // It may be negative, down to minus the trace's horizon, which
+  // exp::execute_cell checks once the trace is built.
+  if (!std::isfinite(c.drain_slack)) json::reject("drain_slack", "finite", c.drain_slack);
   c.lanes = lane_count(v.get("lanes", static_cast<long long>(c.lanes)));
   if (const json::Value* t = v.find("trace")) c.trace = TraceSpec::from_json(*t);
   if (const json::Value* p = v.find("platform"))
@@ -303,6 +320,8 @@ ExperimentGrid ExperimentGrid::from_json(const json::Value& v) {
   strings("apps", g.apps);
   strings("policies", g.policies);
   doubles("slas", g.slas);
+  for (const double sla : g.slas)
+    if (!(sla > 0.0)) json::reject("slas", "> 0", sla);
   doubles("durations", g.durations);
   doubles("init_failure_probs", g.init_failure_probs);
   doubles("straggler_probs", g.straggler_probs);
@@ -342,14 +361,13 @@ apps::App resolve_app(const ExperimentConfig& config) {
 workload::Trace build_trace(const ExperimentConfig& config, const apps::App& app) {
   const TraceSpec& spec = config.trace;
   Rng rng(spec.seed ^ std::hash<std::string>{}(app.name));
+  check_trace(spec);
   if (spec.kind == "preset") {
     const auto options = workload::preset_for_workload(app.name, spec.duration);
     return workload::generate_trace(options, rng);
   }
-  if (spec.kind == "regular") {
-    check_regular_trace(spec);
+  if (spec.kind == "regular")
     return workload::generate_regular_trace(spec.interval, spec.jitter, spec.duration, rng);
-  }
   if (spec.kind == "burst")
     return workload::generate_burst_window(spec.quiet_rate, spec.peak_rate, rng,
                                            spec.duration);

@@ -5,9 +5,11 @@
 #include <mutex>
 #include <set>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "faults/fault_io.hpp"
 #include "profiler/offline_profiler.hpp"
+#include "serverless/options_io.hpp"
 
 namespace smiless::exp {
 
@@ -34,10 +36,17 @@ CellResult execute_cell(const ExperimentConfig& config, const baselines::Profile
   // detlint:allow(wall-clock) cell wall-time goes to progress stderr only, never into artifacts
   const auto t0 = std::chrono::steady_clock::now();
 
-  // The fault knobs as the CLI flags and the grid's axes left them.
+  // The knobs as the CLI flags and the grid's axes left them.
   faults::validate(config.faults);
+  serverless::validate(config.platform);
+  if (!(config.sla > 0.0)) json::reject("sla", "> 0", config.sla);
   const apps::App app = resolve_app(config);
   const workload::Trace trace = build_trace(config, app);
+  const double horizon = static_cast<double>(trace.counts.size()) * trace.window;
+  if (!(horizon + config.drain_slack > 0.0))
+    json::reject("drain_slack",
+                 "> -" + json::Value::format_double(horizon) + " (minus the trace's horizon)",
+                 config.drain_slack);
 
   std::shared_ptr<serverless::Policy> policy;
   if (config.policy_override) {

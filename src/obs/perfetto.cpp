@@ -24,51 +24,88 @@ std::string node_name(const std::map<int, AppTrackInfo>& apps, int app, int node
   return "node" + std::to_string(node);
 }
 
+// Each record appends its members, in the trace format's fixed order, to an
+// Object reserved for all of them, so building one never searches its
+// members.
+
 json::Value meta_event(const char* what, int pid, int tid, const std::string& name) {
-  auto v = json::Value::object();
-  v["ph"] = "M";
-  v["name"] = what;
-  v["pid"] = pid;
-  if (tid >= 0) v["tid"] = tid;
-  auto args = json::Value::object();
-  args["name"] = name;
-  v["args"] = std::move(args);
+  json::Value::Object v;
+  v.reserve(5);
+  v.emplace_back("ph", "M");
+  v.emplace_back("name", what);
+  v.emplace_back("pid", pid);
+  if (tid >= 0) v.emplace_back("tid", tid);
+  json::Value::Object args;
+  args.emplace_back("name", name);
+  v.emplace_back("args", json::Value(std::move(args)));
+  return json::Value(std::move(v));
+}
+
+/// A complete slice's members, with room for an "args" member after them.
+json::Value::Object slice_members(const std::string& name, int pid, int tid, double start,
+                                  double end) {
+  json::Value::Object v;
+  v.reserve(7);
+  v.emplace_back("ph", "X");
+  v.emplace_back("name", name);
+  v.emplace_back("pid", pid);
+  v.emplace_back("tid", tid);
+  v.emplace_back("ts", start * kUsPerSec);
+  v.emplace_back("dur", (end - start) * kUsPerSec);
   return v;
 }
 
 json::Value slice(const std::string& name, int pid, int tid, double start, double end) {
-  auto v = json::Value::object();
-  v["ph"] = "X";
-  v["name"] = name;
-  v["pid"] = pid;
-  v["tid"] = tid;
-  v["ts"] = start * kUsPerSec;
-  v["dur"] = (end - start) * kUsPerSec;
-  return v;
+  return json::Value(slice_members(name, pid, tid, start, end));
 }
 
 json::Value instant(const std::string& name, int pid, int tid, double t) {
-  auto v = json::Value::object();
-  v["ph"] = "i";
-  v["name"] = name;
-  v["pid"] = pid;
-  v["tid"] = tid;
-  v["ts"] = t * kUsPerSec;
-  v["s"] = "t";  // thread-scoped instant
-  return v;
+  json::Value::Object v;
+  v.reserve(6);
+  v.emplace_back("ph", "i");
+  v.emplace_back("name", name);
+  v.emplace_back("pid", pid);
+  v.emplace_back("tid", tid);
+  v.emplace_back("ts", t * kUsPerSec);
+  v.emplace_back("s", "t");  // thread-scoped instant
+  return json::Value(std::move(v));
 }
 
 json::Value flow(const char* ph, long long id, int pid, int tid, double t) {
-  auto v = json::Value::object();
-  v["ph"] = ph;
-  v["cat"] = "request";
-  v["name"] = "request";
-  v["id"] = id;
-  v["pid"] = pid;
-  v["tid"] = tid;
-  v["ts"] = t * kUsPerSec;
-  if (ph[0] == 'f') v["bp"] = "e";
-  return v;
+  json::Value::Object v;
+  v.reserve(8);
+  v.emplace_back("ph", ph);
+  v.emplace_back("cat", "request");
+  v.emplace_back("name", "request");
+  v.emplace_back("id", id);
+  v.emplace_back("pid", pid);
+  v.emplace_back("tid", tid);
+  v.emplace_back("ts", t * kUsPerSec);
+  if (ph[0] == 'f') v.emplace_back("bp", "e");
+  return json::Value(std::move(v));
+}
+
+/// Whether an event emits a record below: at most one each (a MachineUp
+/// closes a "down" slice, an InvocationDone is at most one flow step).
+bool emits_record(EventType type) {
+  switch (type) {
+    case EventType::BatchEnd:
+    case EventType::InstanceReady:
+    case EventType::InstanceInitFailed:
+    case EventType::InstanceTerminated:
+    case EventType::InstanceEvicted:
+    case EventType::RequestSubmitted:
+    case EventType::RequestCompleted:
+    case EventType::RequestFailed:
+    case EventType::PrewarmFired:
+    case EventType::RetryScheduled:
+    case EventType::TimeoutFired:
+    case EventType::MachineUp:
+    case EventType::InvocationDone:
+      return true;
+    default:
+      return false;
+  }
 }
 
 }  // namespace
@@ -85,7 +122,9 @@ json::Value perfetto_trace(const std::vector<Event>& events,
   std::set<int> app_ids;
   // (app, node, instance) -> tid, assigned by sorted order below.
   std::map<std::tuple<int, int, int>, int> instance_tid;
+  std::size_t records = 0;  // an upper bound on the event records below
   for (const auto& e : events) {
+    if (emits_record(e.type)) ++records;
     if (e.type == EventType::MachineUp || e.type == EventType::MachineDown)
       machines.insert(e.machine);
     if (e.app >= 0) app_ids.insert(e.app);
@@ -106,6 +145,9 @@ json::Value perfetto_trace(const std::vector<Event>& events,
     }
   }
   const auto app_pid = [&](int app) { return pid_base + 1 + app; };
+  // Metadata records, event records, and an instant per machine still down.
+  out.items().reserve(1 + 2 * machines.size() + 2 * app_ids.size() + instance_tid.size() +
+                      records);
 
   // --- Metadata ------------------------------------------------------------
   if (!machines.empty()) {
@@ -130,12 +172,13 @@ json::Value perfetto_trace(const std::vector<Event>& events,
     switch (e.type) {
       case EventType::BatchEnd: {
         const int tid = instance_tid.at(std::make_tuple(e.app, e.node, e.instance));
-        auto v = slice(node_name(apps, e.app, e.node), app_pid(e.app), tid, e.t2, e.t);
-        auto args = json::Value::object();
-        args["batch"] = e.count;
-        args["request"] = e.request;
-        v["args"] = std::move(args);
-        out.push_back(std::move(v));
+        auto v = slice_members(node_name(apps, e.app, e.node), app_pid(e.app), tid, e.t2, e.t);
+        json::Value::Object args;
+        args.reserve(2);
+        args.emplace_back("batch", e.count);
+        args.emplace_back("request", e.request);
+        v.emplace_back("args", json::Value(std::move(args)));
+        out.push_back(json::Value(std::move(v)));
         break;
       }
       case EventType::InstanceReady: {

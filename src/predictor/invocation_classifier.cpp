@@ -18,13 +18,23 @@ struct InvocationClassifier::Impl {
   int classes = 2;
   double norm_mean = 0.0, norm_std = 1.0;
   bool trained = false;
+  // Workspaces reused by every sample, epoch and prediction; `z` holds the
+  // logits (then, in training, the softmax) of the first `classes` buckets.
+  std::vector<double> tail, window, z, dz, dh, flat;
+  LstmGrads grads;
+  WindowMemo<int> memo;  // keyed by the raw tail
 
   explicit Impl(const Options& o)
       : opts(o),
         rng(o.lstm.seed),
         lstm(1, o.lstm.hidden, rng),
         head_w(o.max_buckets, o.lstm.hidden),
-        head_b(o.max_buckets, 0.0) {
+        head_b(o.max_buckets, 0.0),
+        tail(o.lstm.seq_len),
+        window(o.lstm.seq_len),
+        z(o.max_buckets),
+        dz(o.max_buckets),
+        dh(o.lstm.hidden) {
     SMILESS_CHECK(o.bucket_size >= 1 && o.max_buckets >= 2);
     for (std::size_t r = 0; r < head_w.rows(); ++r)
       for (std::size_t c = 0; c < head_w.cols(); ++c) head_w(r, c) = rng.uniform(-0.3, 0.3);
@@ -35,35 +45,35 @@ struct InvocationClassifier::Impl {
     return std::min(b, classes - 1);
   }
 
-  std::vector<std::vector<double>> window(std::span<const double> s, std::size_t start) const {
-    std::vector<std::vector<double>> seq(opts.lstm.seq_len);
-    for (std::size_t i = 0; i < opts.lstm.seq_len; ++i)
-      seq[i] = {(s[start + i] - norm_mean) / norm_std};
-    return seq;
+  /// Normalize s[start, start + seq_len) into `window`.
+  void fill_window(std::span<const double> s, std::size_t start) {
+    for (std::size_t i = 0; i < window.size(); ++i)
+      window[i] = (s[start + i] - norm_mean) / norm_std;
   }
 
-  std::vector<double> logits(const std::vector<double>& h) const {
-    std::vector<double> z(classes, 0.0);
+  /// The logits of the final hidden state `h`, into z[0, classes).
+  void logits(std::span<const double> h) {
     for (int k = 0; k < classes; ++k) {
+      const double* row = head_w.data() + static_cast<std::size_t>(k) * head_w.cols();
       double acc = head_b[k];
-      for (std::size_t j = 0; j < h.size(); ++j) acc += head_w(k, j) * h[j];
+      for (std::size_t j = 0; j < h.size(); ++j) acc += row[j] * h[j];
       z[k] = acc;
     }
-    return z;
   }
 
-  static std::vector<double> softmax(std::vector<double> z) {
-    const double m = *std::max_element(z.begin(), z.end());
+  /// Softmax of z[0, classes), in place.
+  void softmax() {
+    const double m = *std::max_element(z.begin(), z.begin() + classes);
     double sum = 0.0;
-    for (auto& v : z) {
-      v = std::exp(v - m);
-      sum += v;
+    for (int k = 0; k < classes; ++k) {
+      z[k] = std::exp(z[k] - m);
+      sum += z[k];
     }
-    for (auto& v : z) v /= sum;
-    return z;
+    for (int k = 0; k < classes; ++k) z[k] /= sum;
   }
 
   void train(std::span<const double> counts) {
+    memo.clear();
     if (counts.size() <= opts.lstm.seq_len + 1) {
       trained = false;
       return;
@@ -85,28 +95,33 @@ struct InvocationClassifier::Impl {
       for (std::size_t j = 0; j < head_w.cols(); ++j) params.push_back(&head_w(k, j));
     for (int k = 0; k < classes; ++k) params.push_back(&head_b[k]);
     Adam adam(params.size(), opts.lstm.learning_rate);
+    flat.reserve(params.size());
 
+    const std::size_t hidden = opts.lstm.hidden;
     for (int epoch = 0; epoch < opts.lstm.epochs; ++epoch) {
       std::shuffle(starts.begin(), starts.end(), rng.engine());
       for (std::size_t start : starts) {
-        const auto h = lstm.forward(window(counts, start));
-        const auto p = softmax(logits(h));
+        fill_window(counts, start);
+        // `h` views the layer's activation cache, which backward() only reads.
+        const auto h = lstm.forward(window);
+        logits(h);
+        softmax();
         const int target = bucket_of(counts[start + opts.lstm.seq_len]);
 
         // Cross-entropy gradient dz_k = p_k - [k == target].
-        std::vector<double> dz(classes);
-        for (int k = 0; k < classes; ++k) dz[k] = p[k] - (k == target ? 1.0 : 0.0);
+        for (int k = 0; k < classes; ++k) dz[k] = z[k] - (k == target ? 1.0 : 0.0);
 
-        std::vector<double> dh(opts.lstm.hidden, 0.0);
-        for (int k = 0; k < classes; ++k)
-          for (std::size_t j = 0; j < dh.size(); ++j) dh[j] += head_w(k, j) * dz[k];
-        const LstmGrads grads = lstm.backward(dh);
+        std::fill(dh.begin(), dh.end(), 0.0);
+        for (int k = 0; k < classes; ++k) {
+          const double* row = head_w.data() + static_cast<std::size_t>(k) * hidden;
+          for (std::size_t j = 0; j < hidden; ++j) dh[j] += row[j] * dz[k];
+        }
+        lstm.backward(dh, grads);
 
-        std::vector<double> flat;
-        flat.reserve(params.size());
+        flat.clear();
         LstmLayer::accumulate(flat, grads);
         for (int k = 0; k < classes; ++k)
-          for (std::size_t j = 0; j < head_w.cols(); ++j) flat.push_back(dz[k] * h[j]);
+          for (std::size_t j = 0; j < hidden; ++j) flat.push_back(dz[k] * h[j]);
         for (int k = 0; k < classes; ++k) flat.push_back(dz[k]);
         adam.step(params, flat);
       }
@@ -114,19 +129,16 @@ struct InvocationClassifier::Impl {
     trained = true;
   }
 
-  int classify(std::span<const double> recent) const {
+  int classify(std::span<const double> recent) {
     if (!trained || recent.empty()) return 0;
-    std::vector<double> tail(opts.lstm.seq_len);
-    for (std::size_t i = 0; i < opts.lstm.seq_len; ++i) {
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(recent.size()) -
-                                 static_cast<std::ptrdiff_t>(opts.lstm.seq_len) +
-                                 static_cast<std::ptrdiff_t>(i);
-      tail[i] = idx >= 0 ? recent[static_cast<std::size_t>(idx)] : recent.front();
-    }
-    auto* self = const_cast<Impl*>(this);
-    const auto h = self->lstm.forward(self->window(tail, 0));
-    const auto z = logits(h);
-    return static_cast<int>(std::max_element(z.begin(), z.end()) - z.begin());
+    copy_tail(recent, tail);
+    if (const int* hit = memo.find(tail)) return *hit;
+    fill_window(tail, 0);
+    logits(lstm.forward(window));
+    const int bucket = static_cast<int>(std::max_element(z.begin(), z.begin() + classes) -
+                                        z.begin());
+    memo.store(tail, bucket);
+    return bucket;
   }
 };
 

@@ -24,10 +24,17 @@ class InvocationClassifier {
   explicit InvocationClassifier(Options options);
   ~InvocationClassifier();
 
-  /// Train on a per-window invocation-count series.
+  /// Train on a per-window invocation-count series; clears the memo of the
+  /// last prediction.
   void fit(std::span<const double> counts);
 
   /// Predicted upper bound for the next window's invocation count.
+  ///
+  /// Both predictions read the last seq_len values of `recent`; a call
+  /// whose raw tail equals the previous call's bit for bit returns the
+  /// memoized bucket without a forward pass. Despite the const, they mutate
+  /// the classifier's workspaces and memo: never call them concurrently on
+  /// one object.
   double predict_next(std::span<const double> recent) const;
 
   /// Raw class (bucket index) prediction, before the upper-bound mapping.

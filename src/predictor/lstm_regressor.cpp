@@ -29,11 +29,10 @@ void make_pairs(std::span<const double> s, std::size_t len,
   for (std::size_t t = len; t < s.size(); ++t) starts.push_back(t - len);
 }
 
-std::vector<std::vector<double>> window_of(std::span<const double> s, std::size_t start,
-                                           std::size_t len, const Norm& norm) {
-  std::vector<std::vector<double>> seq(len);
-  for (std::size_t i = 0; i < len; ++i) seq[i] = {norm.fwd(s[start + i])};
-  return seq;
+/// Normalize s[start, start + window.size()) into `window`.
+void fill_window(std::span<const double> s, std::size_t start, const Norm& norm,
+                 std::span<double> window) {
+  for (std::size_t i = 0; i < window.size(); ++i) window[i] = norm.fwd(s[start + i]);
 }
 
 }  // namespace
@@ -50,20 +49,31 @@ struct LstmRegressor::Impl {
   double head_b = 0.0;
   Norm norm;
   bool trained = false;
+  // Workspaces reused by every sample, epoch and prediction.
+  std::vector<double> tail, window, dh, flat;
+  LstmGrads grads;
+  WindowMemo<double> memo;  // keyed by the raw tail
 
   explicit Impl(const LstmOptions& o)
-      : opts(o), rng(o.seed), lstm(1, o.hidden, rng), head_w(o.hidden, 0.0) {
+      : opts(o),
+        rng(o.seed),
+        lstm(1, o.hidden, rng),
+        head_w(o.hidden, 0.0),
+        tail(o.seq_len),
+        window(o.seq_len),
+        dh(o.hidden) {
     for (auto& w : head_w) w = rng.uniform(-0.3, 0.3);
   }
 
-  double forward_window(std::span<const double> s, std::size_t start) {
-    const auto h = lstm.forward(window_of(s, start, opts.seq_len, norm));
+  /// The head's output for the final hidden state `h`.
+  double head(std::span<const double> h) const {
     double y = head_b;
     for (std::size_t j = 0; j < head_w.size(); ++j) y += head_w[j] * h[j];
     return y;
   }
 
   void train(std::span<const double> series) {
+    memo.clear();
     norm.fit(series);
     std::vector<std::size_t> starts;
     make_pairs(series, opts.seq_len, starts);
@@ -76,25 +86,24 @@ struct LstmRegressor::Impl {
     for (auto& w : head_w) params.push_back(&w);
     params.push_back(&head_b);
     Adam adam(params.size(), opts.learning_rate);
+    flat.reserve(params.size());
 
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
       std::shuffle(starts.begin(), starts.end(), rng.engine());
       for (std::size_t start : starts) {
-        const auto seq = window_of(series, start, opts.seq_len, norm);
-        const auto h = lstm.forward(seq);
-        double y = head_b;
-        for (std::size_t j = 0; j < head_w.size(); ++j) y += head_w[j] * h[j];
+        fill_window(series, start, norm, window);
+        // `h` views the layer's activation cache, which backward() only reads.
+        const auto h = lstm.forward(window);
+        const double y = head(h);
         const double target = norm.fwd(series[start + opts.seq_len]);
         const double err = y - target;
         const double w = err > 0.0 ? opts.over_weight : opts.under_weight;
         const double dy = 2.0 * w * err;
 
-        std::vector<double> dh(opts.hidden);
         for (std::size_t j = 0; j < opts.hidden; ++j) dh[j] = dy * head_w[j];
-        const LstmGrads grads = lstm.backward(dh);
+        lstm.backward(dh, grads);
 
-        std::vector<double> flat;
-        flat.reserve(params.size());
+        flat.clear();
         LstmLayer::accumulate(flat, grads);
         for (std::size_t j = 0; j < opts.hidden; ++j) flat.push_back(dy * h[j]);
         flat.push_back(dy);
@@ -111,17 +120,15 @@ LstmRegressor::~LstmRegressor() = default;
 void LstmRegressor::fit(std::span<const double> series) { impl_->train(series); }
 
 double LstmRegressor::predict_next(std::span<const double> recent) const {
-  if (!impl_->trained || recent.empty()) return recent.empty() ? 0.0 : recent.back();
-  const std::size_t len = impl_->opts.seq_len;
-  // Pad on the left with the first value when history is short.
-  std::vector<double> tail(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(recent.size()) -
-                               static_cast<std::ptrdiff_t>(len) + static_cast<std::ptrdiff_t>(i);
-    tail[i] = idx >= 0 ? recent[static_cast<std::size_t>(idx)] : recent.front();
-  }
-  const double z = impl_->forward_window(tail, 0);
-  return std::max(0.0, impl_->norm.inv(z));
+  Impl& m = *impl_;
+  if (!m.trained || recent.empty()) return recent.empty() ? 0.0 : recent.back();
+  // The tail is padded on the left with the first value when history is short.
+  copy_tail(recent, m.tail);
+  if (const double* hit = m.memo.find(m.tail)) return *hit;
+  fill_window(m.tail, 0, m.norm, m.window);
+  const double y = std::max(0.0, m.norm.inv(m.head(m.lstm.forward(m.window))));
+  m.memo.store(m.tail, y);
+  return y;
 }
 
 // ---------------------------------------------------------------------------
@@ -137,33 +144,44 @@ struct DualLstmRegressor::Impl {
   double head_b = 0.0;
   Norm norm_a, norm_b;
   bool trained = false;
+  // Workspaces reused by every sample, epoch and prediction. `tail` holds
+  // the primary then the auxiliary raw tail.
+  std::vector<double> tail, window_a, window_b, merged, dha, dhb, flat;
+  LstmGrads grads_a, grads_b;
+  WindowMemo<double> memo;  // keyed by both raw tails
 
   explicit Impl(const LstmOptions& o)
       : opts(o),
         rng(o.seed),
         lstm_a(1, o.hidden, rng),
         lstm_b(1, o.hidden, rng),
-        head_w(2 * o.hidden, 0.0) {
+        head_w(2 * o.hidden, 0.0),
+        tail(2 * o.seq_len),
+        window_a(o.seq_len),
+        window_b(o.seq_len),
+        merged(2 * o.hidden),
+        dha(o.hidden),
+        dhb(o.hidden) {
     for (auto& w : head_w) w = rng.uniform(-0.3, 0.3);
   }
 
-  double forward(const std::vector<std::vector<double>>& sa,
-                 const std::vector<std::vector<double>>& sb, std::vector<double>* merged_out) {
-    const auto ha = lstm_a.forward(sa);
-    const auto hb = lstm_b.forward(sb);
-    std::vector<double> merged(2 * opts.hidden);
+  /// The head's output for the normalized inputs in `window_a` and
+  /// `window_b`; leaves tanh(concat(h_a, h_b)) in `merged`.
+  double forward() {
+    const auto ha = lstm_a.forward(window_a);
+    const auto hb = lstm_b.forward(window_b);
     for (std::size_t j = 0; j < opts.hidden; ++j) {
       merged[j] = std::tanh(ha[j]);
       merged[opts.hidden + j] = std::tanh(hb[j]);
     }
     double y = head_b;
     for (std::size_t j = 0; j < merged.size(); ++j) y += head_w[j] * merged[j];
-    if (merged_out) *merged_out = std::move(merged);
     return y;
   }
 
   void train(std::span<const double> a, std::span<const double> b) {
     SMILESS_CHECK(a.size() == b.size());
+    memo.clear();
     norm_a.fit(a);
     norm_b.fit(b);
     std::vector<std::size_t> starts;
@@ -178,33 +196,31 @@ struct DualLstmRegressor::Impl {
     for (auto& w : head_w) params.push_back(&w);
     params.push_back(&head_b);
     Adam adam(params.size(), opts.learning_rate);
+    flat.reserve(params.size());
 
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
       std::shuffle(starts.begin(), starts.end(), rng.engine());
       for (std::size_t start : starts) {
-        const auto sa = window_of(a, start, opts.seq_len, norm_a);
-        const auto sb = window_of(b, start, opts.seq_len, norm_b);
-        std::vector<double> merged;
-        const double y = forward(sa, sb, &merged);
+        fill_window(a, start, norm_a, window_a);
+        fill_window(b, start, norm_b, window_b);
+        const double y = forward();
         const double target = norm_a.fwd(a[start + opts.seq_len]);
         const double err = y - target;
         const double w = err > 0.0 ? opts.over_weight : opts.under_weight;
         const double dy = 2.0 * w * err;
 
         // Back through the head and tanh merge into each branch.
-        std::vector<double> dha(opts.hidden), dhb(opts.hidden);
         for (std::size_t j = 0; j < opts.hidden; ++j) {
           dha[j] = dy * head_w[j] * (1.0 - merged[j] * merged[j]);
           dhb[j] = dy * head_w[opts.hidden + j] *
                    (1.0 - merged[opts.hidden + j] * merged[opts.hidden + j]);
         }
-        const LstmGrads ga = lstm_a.backward(dha);
-        const LstmGrads gb = lstm_b.backward(dhb);
+        lstm_a.backward(dha, grads_a);
+        lstm_b.backward(dhb, grads_b);
 
-        std::vector<double> flat;
-        flat.reserve(params.size());
-        LstmLayer::accumulate(flat, ga);
-        LstmLayer::accumulate(flat, gb);
+        flat.clear();
+        LstmLayer::accumulate(flat, grads_a);
+        LstmLayer::accumulate(flat, grads_b);
         for (std::size_t j = 0; j < merged.size(); ++j) flat.push_back(dy * merged[j]);
         flat.push_back(dy);
         adam.step(params, flat);
@@ -224,29 +240,20 @@ void DualLstmRegressor::fit(std::span<const double> primary, std::span<const dou
 
 double DualLstmRegressor::predict_next(std::span<const double> recent_primary,
                                        std::span<const double> recent_auxiliary) const {
-  if (!impl_->trained || recent_primary.empty())
+  Impl& m = *impl_;
+  if (!m.trained || recent_primary.empty())
     return recent_primary.empty() ? 0.0 : recent_primary.back();
-  const std::size_t len = impl_->opts.seq_len;
-  auto tail_of = [len](std::span<const double> s) {
-    std::vector<double> tail(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(s.size()) -
-                                 static_cast<std::ptrdiff_t>(len) +
-                                 static_cast<std::ptrdiff_t>(i);
-      tail[i] = idx >= 0 ? s[static_cast<std::size_t>(idx)] : s.front();
-    }
-    return tail;
-  };
-  const auto ta = tail_of(recent_primary);
-  const auto tb = tail_of(recent_auxiliary.empty() ? recent_primary : recent_auxiliary);
-
-  std::vector<std::vector<double>> sa(len), sb(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    sa[i] = {impl_->norm_a.fwd(ta[i])};
-    sb[i] = {impl_->norm_b.fwd(tb[i])};
-  }
-  const double z = const_cast<Impl&>(*impl_).forward(sa, sb, nullptr);
-  return std::max(0.0, impl_->norm_a.inv(z));
+  const std::size_t len = m.opts.seq_len;
+  const std::span<double> tail_a(m.tail.data(), len);
+  const std::span<double> tail_b(m.tail.data() + len, len);
+  copy_tail(recent_primary, tail_a);
+  copy_tail(recent_auxiliary.empty() ? recent_primary : recent_auxiliary, tail_b);
+  if (const double* hit = m.memo.find(m.tail)) return *hit;
+  fill_window(tail_a, 0, m.norm_a, m.window_a);
+  fill_window(tail_b, 0, m.norm_b, m.window_b);
+  const double y = std::max(0.0, m.norm_a.inv(m.forward()));
+  m.memo.store(m.tail, y);
+  return y;
 }
 
 }  // namespace smiless::predictor

@@ -34,7 +34,13 @@ class LstmRegressor : public SeriesPredictor {
   ~LstmRegressor() override;
 
   std::string name() const override { return "LSTM"; }
+  /// Train on `series`; clears the memo of the last prediction.
   void fit(std::span<const double> series) override;
+  /// Predict from the last seq_len values of `recent`. A call whose raw
+  /// tail equals the previous call's bit for bit returns the memoized
+  /// result without a forward pass. Despite the const, this mutates the
+  /// predictor's workspaces and memo: never call it concurrently on one
+  /// object.
   double predict_next(std::span<const double> recent) const override;
 
  private:
@@ -53,8 +59,14 @@ class DualLstmRegressor {
 
   /// `primary` is the prediction target series (inter-arrival times);
   /// `auxiliary` must be aligned index-for-index (invocation counts in the
-  /// windows preceding each gap).
+  /// windows preceding each gap). Clears the memo of the last prediction.
   void fit(std::span<const double> primary, std::span<const double> auxiliary);
+  /// Predict from the last seq_len values of each series (of the primary
+  /// twice when `recent_auxiliary` is empty). A call whose two raw tails
+  /// equal the previous call's bit for bit returns the memoized result
+  /// without a forward pass. Despite the const, this mutates the
+  /// predictor's workspaces and memo: never call it concurrently on one
+  /// object.
   double predict_next(std::span<const double> recent_primary,
                       std::span<const double> recent_auxiliary) const;
 

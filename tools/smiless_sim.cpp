@@ -70,10 +70,14 @@
 //   smiless_sim --config run.json
 //   smiless_sim --sweep grid.json --threads 8 --out results.json
 //   smiless_sim --policy all --fault-init-p 0.05 --fault-crash 2@120:60
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "apps/catalog.hpp"
 #include "baselines/experiment.hpp"
@@ -126,16 +130,40 @@ struct CliOptions {
   std::exit(error.empty() ? 0 : 2);
 }
 
+/// Parse the whole of `text` as one T, or exit 2 naming `what` (the flag):
+/// `error: --seed: expected an integer, got "abc"`. Integers must fit T;
+/// a NaN is never a meaningful number.
+template <class T>
+T parse_number(const char* argv0, std::string_view what, std::string_view text) {
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  bool ok = ec == std::errc() && end == text.data() + text.size();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && !std::isnan(value);
+  if (!ok) {
+    const bool range = ec == std::errc::result_out_of_range;
+    const char* expected = !std::is_integral_v<T> ? "a number"
+                           : range                ? "an integer in range"
+                                                  : "an integer";
+    usage(argv0, std::string(what) + ": expected " + expected + ", got \"" +
+                     std::string(text) + "\"");
+  }
+  return value;
+}
+
 /// Parse a "--fault-crash M@T:D" operand (duration optional, default 60 s).
 faults::ScheduledCrash parse_crash(const char* argv0, const std::string& s) {
   faults::ScheduledCrash c;
   c.duration = 60.0;
   const auto at = s.find('@');
   if (at == std::string::npos) usage(argv0, "--fault-crash wants M@T[:D], got " + s);
-  c.machine = std::atoi(s.substr(0, at).c_str());
+  const std::string_view operand(s);
+  c.machine = parse_number<int>(argv0, "--fault-crash machine", operand.substr(0, at));
   const auto colon = s.find(':', at);
-  c.at = std::atof(s.substr(at + 1, colon - at - 1).c_str());
-  if (colon != std::string::npos) c.duration = std::atof(s.substr(colon + 1).c_str());
+  c.at = parse_number<double>(argv0, "--fault-crash time",
+                              operand.substr(at + 1, colon - at - 1));
+  if (colon != std::string::npos)
+    c.duration =
+        parse_number<double>(argv0, "--fault-crash duration", operand.substr(colon + 1));
   return c;
 }
 
@@ -144,6 +172,12 @@ CliOptions parse_cli(int argc, char** argv) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0], std::string("missing value for ") + argv[i]);
     return argv[++i];
+  };
+  // Read the value of flag argv[i] into `out`, whole, as out's type (see
+  // parse_number).
+  auto read = [&]<class T>(int& i, T& out) {
+    const char* flag = argv[i];
+    out = parse_number<T>(argv[0], flag, need_value(i));
   };
   // --config seeds the cell; every later flag overrides one field of it.
   for (int i = 1; i < argc; ++i) {
@@ -169,33 +203,31 @@ CliOptions parse_cli(int argc, char** argv) {
       o.config.trace.file = need_value(i);
     }
     else if (!std::strcmp(arg, "--dump-trace")) o.dump_trace = need_value(i);
-    else if (!std::strcmp(arg, "--duration"))
-      o.config.trace.duration = std::atof(need_value(i));
-    else if (!std::strcmp(arg, "--sla")) o.config.sla = std::atof(need_value(i));
+    else if (!std::strcmp(arg, "--duration")) read(i, o.config.trace.duration);
+    else if (!std::strcmp(arg, "--sla")) read(i, o.config.sla);
     else if (!std::strcmp(arg, "--seed")) {
-      o.config.seed = std::strtoull(need_value(i), nullptr, 10);
+      read(i, o.config.seed);
       o.config.trace.seed = o.config.seed;
     }
     else if (!std::strcmp(arg, "--lanes")) {
-      o.config.lanes = std::atoi(need_value(i));
+      read(i, o.config.lanes);
       if (o.config.lanes < 1) usage(argv[0], "--lanes must be >= 1");
     }
     else if (!std::strcmp(arg, "--lane-threads")) {
-      o.runner.lane_threads = std::atoi(need_value(i));
+      read(i, o.runner.lane_threads);
       if (o.runner.lane_threads < 0) usage(argv[0], "--lane-threads must be >= 0");
     }
     else if (!std::strcmp(arg, "--no-lstm")) o.config.use_lstm = false;
     else if (!std::strcmp(arg, "--speedup")) {
-      o.speedup = std::atof(need_value(i));
+      read(i, o.speedup);
       if (o.speedup <= 0.0) usage(argv[0], "--speedup must be positive");
     }
     else if (!std::strcmp(arg, "--stream-out")) o.stream_out = need_value(i);
-    else if (!std::strcmp(arg, "--slow")) o.slow = std::atoi(need_value(i));
+    else if (!std::strcmp(arg, "--slow")) read(i, o.slow);
     else if (!std::strcmp(arg, "--sweep")) o.sweep_file = need_value(i);
     else if (!std::strcmp(arg, "--threads")) {
-      const long v = std::atol(need_value(i));
-      if (v < 1) usage(argv[0], "--threads must be >= 1");
-      o.runner.threads = static_cast<std::size_t>(v);
+      read(i, o.runner.threads);
+      if (o.runner.threads < 1) usage(argv[0], "--threads must be >= 1");
     }
     else if (!std::strcmp(arg, "--out")) o.out_file = need_value(i);
     else if (!std::strcmp(arg, "--csv")) o.csv_file = need_value(i);
@@ -206,28 +238,28 @@ CliOptions parse_cli(int argc, char** argv) {
     else if (!std::strcmp(arg, "--windows-out")) o.config.obs.windows_out = need_value(i);
     else if (!std::strcmp(arg, "--series-out")) o.config.obs.series_out = need_value(i);
     else if (!std::strcmp(arg, "--series-cadence")) {
-      o.config.obs.series_cadence = std::atof(need_value(i));
+      read(i, o.config.obs.series_cadence);
       if (o.config.obs.series_cadence <= 0.0)
         usage(argv[0], "--series-cadence must be positive");
     }
     else if (!std::strcmp(arg, "--report-out")) o.config.obs.report_out = need_value(i);
     else if (!std::strcmp(arg, "--profile-out")) o.config.obs.profile_out = need_value(i);
     else if (!std::strcmp(arg, "--fault-init-p"))
-      o.config.faults.init_failure_prob = std::atof(need_value(i));
+      read(i, o.config.faults.init_failure_prob);
     else if (!std::strcmp(arg, "--fault-straggler-p"))
-      o.config.faults.straggler_prob = std::atof(need_value(i));
+      read(i, o.config.faults.straggler_prob);
     else if (!std::strcmp(arg, "--fault-straggler-x"))
-      o.config.faults.straggler_factor = std::atof(need_value(i));
+      read(i, o.config.faults.straggler_factor);
     else if (!std::strcmp(arg, "--fault-crash"))
       o.config.faults.crashes.push_back(parse_crash(argv[0], need_value(i)));
     else if (!std::strcmp(arg, "--fault-crash-rate"))
-      o.config.faults.crash_rate = std::atof(need_value(i));
+      read(i, o.config.faults.crash_rate);
     else if (!std::strcmp(arg, "--fault-mttr"))
-      o.config.faults.mttr = std::atof(need_value(i));
+      read(i, o.config.faults.mttr);
     else if (!std::strcmp(arg, "--timeout"))
-      o.config.platform.request_timeout = std::atof(need_value(i));
+      read(i, o.config.platform.request_timeout);
     else if (!std::strcmp(arg, "--max-retries"))
-      o.config.platform.max_retries = std::atoi(need_value(i));
+      read(i, o.config.platform.max_retries);
     else if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) usage(argv[0]);
     else usage(argv[0], std::string("unknown option ") + arg);
   }
