@@ -9,11 +9,14 @@
 #include <vector>
 
 #include "apps/catalog.hpp"
+#include "common/json.hpp"
+#include "common/number.hpp"
 #include "common/table.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/config.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "workload/trace.hpp"
 
 namespace smiless::bench {
 
@@ -35,6 +38,19 @@ inline BenchArgs& bench_args() {
   return args;
 }
 
+/// The value of `flag`, parsed whole as one T (common::parse_number), or
+/// exit 2 naming the flag: `bench_x: --apps: expected an integer, got "abc"`.
+template <class T>
+T flag_number(const char* argv0, const char* flag, const char* text) {
+  T value{};
+  const std::string error = common::parse_number(text, value);
+  if (!error.empty()) {
+    std::cerr << argv0 << ": " << flag << ": " << error << "\n";
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Consume argv[i] if it is one of the shared bench flags (--duration S,
 /// --threads N, --lane-threads N, --progress), advancing i past its value.
 /// Benches with extra private flags call this first in their own loop.
@@ -47,15 +63,17 @@ inline bool consume_shared_flag(int argc, char** argv, int& i) {
     return argv[++i];
   };
   if (!std::strcmp(argv[i], "--duration")) {
-    bench_args().duration = std::atof(value("--duration"));
-    if (bench_args().duration <= 0.0) {
-      std::cerr << argv[0] << ": --duration must be > 0\n";
+    const double v = flag_number<double>(argv[0], "--duration", value("--duration"));
+    if (!(v > 0.0 && v <= workload::kMaxTraceDuration)) {
+      std::cerr << argv[0] << ": --duration must be > 0 and <= "
+                << json::Value::format_double(workload::kMaxTraceDuration) << "\n";
       std::exit(2);
     }
+    bench_args().duration = v;
     return true;
   }
   if (!std::strcmp(argv[i], "--threads")) {
-    const long v = std::atol(value("--threads"));
+    const long v = flag_number<long>(argv[0], "--threads", value("--threads"));
     if (v < 1) {
       std::cerr << argv[0] << ": --threads must be >= 1\n";
       std::exit(2);
@@ -64,7 +82,7 @@ inline bool consume_shared_flag(int argc, char** argv, int& i) {
     return true;
   }
   if (!std::strcmp(argv[i], "--lane-threads")) {
-    const int v = std::atoi(value("--lane-threads"));
+    const int v = flag_number<int>(argv[0], "--lane-threads", value("--lane-threads"));
     if (v < 0) {
       std::cerr << argv[0] << ": --lane-threads must be >= 0\n";
       std::exit(2);

@@ -2,17 +2,17 @@
 // machines, thousands of DAG applications, a multi-hour Poisson + burst
 // trace per app — driven end-to-end through ShardedPlatform's lane loop at
 // lanes 1/2/4/8 (streaming per-window arrival injection), plus a pure-queue
-// hold-model microbench that runs the calendar queue and its executable
-// specification (sim::ReferenceQueue, the binary heap + std::map pair) on
-// the same schedule. Records requests/s (the headline: events/s also rises
-// when each request costs more events), events and cancels per request,
-// events/s, wall time, peak RSS and EngineStats into BENCH_throughput.json
-// (see DESIGN.md §13–14).
+// hold-model microbench that runs the engine's event queue and its
+// executable specification (sim::ReferenceQueue, the binary heap +
+// std::map pair) on the same schedule. Records requests/s (the headline:
+// events/s also rises when each request costs more events), events and
+// cancels per request, events/s, wall time, peak RSS and EngineStats into
+// BENCH_throughput.json (see DESIGN.md §13–14).
 //
-// Correctness gate: the two queues must fire the same (time, id) sequence
-// in the micro, or the bench exits 1. Each lane count is a different cell —
-// the fleet is partitioned — so its counts are reported per row; the
-// `deterministic` section is the lanes=1 row.
+// Correctness gate: the two queues must fire the same (time, schedule
+// order) sequence in the micro, or the bench exits 1. Each lane count is a
+// different cell — the fleet is partitioned — so its counts are reported
+// per row; the `deterministic` section is the lanes=1 row.
 //
 // Timing and RSS are measurements of the harness itself, not simulated
 // behaviour; the trajectory counts in the artifact are byte-stable for a
@@ -53,8 +53,8 @@
 #include "serverless/platform_view.hpp"
 #include "serverless/policy.hpp"
 #include "serverless/sharding.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/reference_queue.hpp"
 #include "workload/trace.hpp"
 
@@ -225,12 +225,12 @@ EndToEnd run_lanes(int lanes, int lane_threads, const CellConfig& cc,
 /// pop the earliest and schedule a replacement at now + exp(1), rounded up
 /// to a 1 ms grid so that same-timestamp events are common (as window ticks
 /// are in the end-to-end cell) and the FIFO tie-break is exercised. Drives
-/// the queue directly, with the Engine's id and clock bookkeeping inline,
-/// so it isolates schedule/pop/cancel cost from platform callback work;
-/// with thousands pending this is where the heap pays its O(log n) and its
-/// two map allocations per event. `fire_order` hashes the (time, id)
-/// sequence the queue fired, so two queues can be compared without
-/// storing it.
+/// the queue directly, with the Engine's clock bookkeeping inline, so it
+/// isolates schedule/pop/cancel cost from platform callback work; with
+/// thousands pending this is where the reference pays its two map
+/// allocations per event. `fire_order` hashes the (time, schedule order)
+/// sequence the queue fired — the two queues mint different ids — so two
+/// queues can be compared without storing it.
 struct Micro {
   std::uint64_t events = 0;
   std::uint64_t fire_order = 0;
@@ -246,26 +246,52 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// sim::ReferenceQueue minting ids as a model engine does: 1, 2, 3, ...
+/// in schedule order, so the micro drives it like sim::EventQueue.
+class NumberedReferenceQueue {
+ public:
+  sim::EventId schedule(SimTime t, std::function<void()> cb) {
+    queue_.schedule(t, next_id_, std::move(cb));
+    return next_id_++;
+  }
+  bool cancel(sim::EventId id) { return queue_.cancel(id); }
+  bool pop_due(SimTime end, SimTime* t, sim::EventId* id, std::function<void()>* cb) {
+    return queue_.pop_due(end, t, id, cb);
+  }
+
+ private:
+  sim::ReferenceQueue queue_;
+  sim::EventId next_id_ = 1;
+};
+
 template <typename Queue>
 Micro run_micro(std::uint64_t total_events, std::size_t live, std::uint64_t seed) {
   Queue queue;
   Rng rng(seed);
   SimTime now = 0.0;
-  sim::EventId next_id = 1;
+  std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
   std::vector<sim::EventId> cancellable;
-  const auto schedule = [&](SimTime delay, std::function<void()> cb) {
-    queue.schedule(std::ceil((now + delay) * 1e3) / 1e3, next_id, std::move(cb));
-    return next_id++;
+  Micro m;
+  // Every event carries its schedule order; firing one folds (now, order)
+  // into the fire-order hash, and a hold event then schedules its successor.
+  std::function<void(std::uint64_t, bool)> fire;
+  const auto schedule = [&](SimTime delay, bool holds) {
+    const std::uint64_t order = ++scheduled;
+    return queue.schedule(std::ceil((now + delay) * 1e3) / 1e3,
+                          [&fire, order, holds] { fire(order, holds); });
   };
 
-  std::function<void()> hold = [&] {
+  fire = [&](std::uint64_t order, bool holds) {
+    ++m.events;
+    m.fire_order = mix(mix(m.fire_order ^ std::bit_cast<std::uint64_t>(now)) ^ order);
+    if (!holds) return;
     ++fired;
     if (fired + cancellable.size() < total_events) {
-      schedule(rng.exponential(1.0), hold);
+      schedule(rng.exponential(1.0), true);
       // A slice of events is scheduled and later cancelled, as pre-warm and
       // keep-alive timers are when a plan changes or a machine goes down.
-      if ((fired & 7u) == 0u) cancellable.push_back(schedule(rng.uniform(1.0, 30.0), [] {}));
+      if ((fired & 7u) == 0u) cancellable.push_back(schedule(rng.uniform(1.0, 30.0), false));
       if (cancellable.size() >= 64) {
         for (sim::EventId id : cancellable) queue.cancel(id);
         cancellable.clear();
@@ -273,16 +299,13 @@ Micro run_micro(std::uint64_t total_events, std::size_t live, std::uint64_t seed
     }
   };
 
-  Micro m;
   const double t0 = now_seconds();
-  for (std::size_t i = 0; i < live; ++i) schedule(rng.exponential(1.0), hold);
+  for (std::size_t i = 0; i < live; ++i) schedule(rng.exponential(1.0), true);
   SimTime t = 0.0;
   sim::EventId id = 0;
   std::function<void()> cb;
   while (queue.pop_due(std::numeric_limits<SimTime>::max(), &t, &id, &cb)) {
     now = t;
-    ++m.events;
-    m.fire_order = mix(mix(m.fire_order ^ std::bit_cast<std::uint64_t>(t)) ^ id);
     cb();
     cb = nullptr;
   }
@@ -310,14 +333,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A count: a whole number >= 1, or exit 2 naming the flag.
+    const auto count = [&](const char* flag) {
+      const auto v = bench::flag_number<std::uint64_t>(argv[0], flag, next(flag));
+      if (v < 1) {
+        std::fprintf(stderr, "bench_throughput: %s must be >= 1\n", flag);
+        std::exit(2);
+      }
+      return v;
+    };
     if (std::strcmp(argv[i], "--apps") == 0)
-      cc.apps = static_cast<std::size_t>(std::atol(next("--apps")));
+      cc.apps = count("--apps");
     else if (std::strcmp(argv[i], "--machines") == 0)
-      cc.machines = static_cast<std::size_t>(std::atol(next("--machines")));
+      cc.machines = count("--machines");
     else if (std::strcmp(argv[i], "--nodes") == 0)
-      cc.nodes_per_app = static_cast<std::size_t>(std::atol(next("--nodes")));
+      cc.nodes_per_app = count("--nodes");
     else if (std::strcmp(argv[i], "--events") == 0)
-      micro_events = static_cast<std::uint64_t>(std::atoll(next("--events")));
+      micro_events = count("--events");
     else if (std::strcmp(argv[i], "--out") == 0)
       out_path = next("--out");
     else {
@@ -361,24 +393,24 @@ int main(int argc, char** argv) {
                  r.cancels_per_request(), r.events_per_sec);
   }
 
-  const Micro mcal = run_isolated<Micro>(
-      [&] { return run_micro<sim::CalendarQueue>(micro_events, micro_live, cc.seed); });
+  const Micro mq = run_isolated<Micro>(
+      [&] { return run_micro<sim::EventQueue>(micro_events, micro_live, cc.seed); });
   const Micro mref = run_isolated<Micro>(
-      [&] { return run_micro<sim::ReferenceQueue>(micro_events, micro_live, cc.seed); });
+      [&] { return run_micro<NumberedReferenceQueue>(micro_events, micro_live, cc.seed); });
   std::fprintf(stderr,
-               "bench_throughput: [micro] calendar %.0f events/s, heap %.0f "
+               "bench_throughput: [micro] event queue %.0f events/s, reference %.0f "
                "events/s (%.2fx)\n",
-               mcal.events_per_sec, mref.events_per_sec,
-               mref.events_per_sec > 0.0 ? mcal.events_per_sec / mref.events_per_sec : 0.0);
+               mq.events_per_sec, mref.events_per_sec,
+               mref.events_per_sec > 0.0 ? mq.events_per_sec / mref.events_per_sec : 0.0);
 
-  // Correctness gate: the calendar must fire exactly what its executable
-  // specification fires.
-  if (mcal.events != mref.events || mcal.fire_order != mref.fire_order) {
+  // Correctness gate: the engine's queue must fire exactly what its
+  // executable specification fires.
+  if (mq.events != mref.events || mq.fire_order != mref.fire_order) {
     std::fprintf(stderr,
-                 "bench_throughput: QUEUE DIVERGENCE calendar fired %llu events (order "
+                 "bench_throughput: QUEUE DIVERGENCE event queue fired %llu events (order "
                  "%016llx), reference %llu (order %016llx)\n",
-                 static_cast<unsigned long long>(mcal.events),
-                 static_cast<unsigned long long>(mcal.fire_order),
+                 static_cast<unsigned long long>(mq.events),
+                 static_cast<unsigned long long>(mq.fire_order),
                  static_cast<unsigned long long>(mref.events),
                  static_cast<unsigned long long>(mref.fire_order));
     return 1;
@@ -453,11 +485,11 @@ int main(int argc, char** argv) {
       v["events_per_sec"] = m.events_per_sec;
       return v;
     };
-    micro["calendar"] = section(mcal);
-    micro["binary_heap"] = section(mref);
+    micro["event_queue"] = section(mq);
+    micro["reference_queue"] = section(mref);
     micro["identical_fire_order"] = true;  // gated above
     micro["speedup"] =
-        mref.events_per_sec > 0.0 ? mcal.events_per_sec / mref.events_per_sec : 0.0;
+        mref.events_per_sec > 0.0 ? mq.events_per_sec / mref.events_per_sec : 0.0;
     doc["micro"] = micro;
   }
   doc["peak_rss_mb"] = peak_rss_mb();

@@ -52,10 +52,8 @@ struct SmilessOptions {
   /// figures imply similar headroom via the mu+3sigma init estimates).
   double sla_margin = 0.78;
 
-  /// Burst-scaling hysteresis: re-solve the autoscaler only when the
-  /// predicted count moves by this relative amount, and fall back to the
-  /// base plans only after `burst_cooldown` consecutive calm windows.
-  double burst_resolve_threshold = 0.3;
+  /// Burst-scaling hysteresis: fall back to the base plans only after
+  /// `burst_cooldown` consecutive calm windows.
   int burst_cooldown = 3;
 
   /// Fold instance initialization time into the Auto-scaler's Eq. (7)

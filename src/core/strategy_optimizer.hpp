@@ -75,7 +75,6 @@ class StrategyOptimizer {
     options_.prewarm_margin = margin;
   }
   void set_cost_model(CostModel m) { cost_model_ = m; }
-  CostModel cost_model() const { return cost_model_; }
 
  private:
   FunctionDecision evaluate(const perf::FunctionPerf& fn, const perf::HwConfig& config,

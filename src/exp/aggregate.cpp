@@ -169,11 +169,4 @@ std::string summary_csv(const std::vector<Aggregate>& aggregates) {
   return os.str();
 }
 
-const Aggregate* find_aggregate(const std::vector<Aggregate>& aggregates,
-                                const std::string& policy, const std::string& app) {
-  for (const auto& a : aggregates)
-    if (a.policy == policy && a.app == app) return &a;
-  return nullptr;
-}
-
 }  // namespace smiless::exp

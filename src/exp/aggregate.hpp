@@ -64,9 +64,4 @@ json::Value summary_json(const std::vector<CellResult>& cells,
 /// One CSV row per aggregate (header included).
 std::string summary_csv(const std::vector<Aggregate>& aggregates);
 
-/// Find the aggregate for a (policy, app) pair; nullptr when absent.
-/// Helper for bench tables that print a fixed policy x app matrix.
-const Aggregate* find_aggregate(const std::vector<Aggregate>& aggregates,
-                                const std::string& policy, const std::string& app);
-
 }  // namespace smiless::exp

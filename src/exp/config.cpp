@@ -11,6 +11,7 @@
 #include "common/table.hpp"
 #include "faults/fault_io.hpp"
 #include "serverless/options_io.hpp"
+#include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
 
 namespace smiless::exp {
@@ -30,18 +31,20 @@ int lane_count(long long v) {
 /// message instead of aborting, or silently generating nothing, mid-run.
 void check_trace(const TraceSpec& t) {
   if (t.kind == "csv") return;
+  const std::string max_duration = json::Value::format_double(workload::kMaxTraceDuration);
   if (t.kind == "regular") {
     if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
     if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
-    if (!(std::isfinite(t.duration) && t.duration > t.interval))
+    if (!(t.duration > t.interval && t.duration <= workload::kMaxTraceDuration))
       json::reject("duration",
-                   "finite and > interval (" + json::Value::format_double(t.interval) +
-                       ") for a regular trace",
+                   "> interval (" + json::Value::format_double(t.interval) + ") and <= " +
+                       max_duration + " for a regular trace",
                    t.duration);
     return;
   }
-  if (!(std::isfinite(t.duration) && t.duration > 0.0))
-    json::reject("duration", "finite and > 0 for a generated trace", t.duration);
+  if (!(t.duration > 0.0 && t.duration <= workload::kMaxTraceDuration))
+    json::reject("duration", "> 0 and <= " + max_duration + " for a generated trace",
+                 t.duration);
   if (t.kind == "burst") {
     if (!(t.quiet_rate >= 0.0)) json::reject("quiet_rate", ">= 0 for a burst trace", t.quiet_rate);
     if (!(t.peak_rate >= t.quiet_rate))

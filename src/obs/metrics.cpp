@@ -92,11 +92,6 @@ std::uint64_t MetricRegistry::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-double MetricRegistry::gauge_value(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 const Histogram* MetricRegistry::histogram(const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;

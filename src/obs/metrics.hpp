@@ -68,7 +68,6 @@ class MetricRegistry {
   void observe(const std::string& name, double value) { histograms_[name].add(value); }
 
   std::uint64_t counter(const std::string& name) const;
-  double gauge_value(const std::string& name) const;
   const Histogram* histogram(const std::string& name) const;
 
   const std::map<std::string, std::uint64_t>& counters() const { return counters_; }

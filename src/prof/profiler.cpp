@@ -45,9 +45,6 @@ const char* counter_name(Counter c) {
     case Counter::EngineScheduled: return "engine/scheduled";
     case Counter::EngineFired: return "engine/fired";
     case Counter::EngineCancelled: return "engine/cancelled";
-    case Counter::CalendarBuckets: return "calendar/buckets";
-    case Counter::CalendarResizes: return "calendar/resizes";
-    case Counter::CalendarDirectSearches: return "calendar/direct_searches";
     case Counter::kCount: break;
   }
   return "?";

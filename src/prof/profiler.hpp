@@ -12,7 +12,7 @@
 /// `profile` section of BENCH_throughput.json.
 ///
 /// Model: an RAII ScopeTimer pushes a frame per instrumented site
-/// (sim::Engine::run_until, calendar ops, Gateway window ticks, dispatch,
+/// (sim::Engine::run_until, event-queue ops, Gateway window ticks, dispatch,
 /// pool lifecycle, the policy solver, sharded lane window steps and the
 /// coordinator's wait for the lanes). Frames nest; on pop the child's wall time is charged to the
 /// parent's "children" bucket, so for every site we report
@@ -33,7 +33,7 @@
 /// RunnerOptions is null: ScopeTimer degenerates to a single pointer test.
 ///
 /// The profiler also surfaces the simulator's dark internal stats
-/// (CalendarStats, EngineStats) as *sampled counters*: deterministic
+/// (live events, EngineStats) as *sampled counters*: deterministic
 /// (sim_time, value) pairs recorded every 2^14 fired events, exported as
 /// Perfetto "C" counter tracks that line up with the sim-time trace.
 
@@ -56,8 +56,8 @@ std::uint64_t now_ns();
 enum class Site : int {
   CellRun = 0,     ///< root: deploy -> run -> finalize -> registry mirror
   EngineRun,       ///< sim::Engine::run_until dispatch loop
-  EngineSchedule,  ///< calendar-queue insert (Engine::schedule_at)
-  EngineCancel,    ///< calendar-queue cancel (Engine::cancel)
+  EngineSchedule,  ///< event-queue insert (Engine::schedule_at)
+  EngineCancel,    ///< event-queue cancel (Engine::cancel)
   GatewayWindow,   ///< Gateway::close_window: one app's window (minus the solver)
   PolicyWindow,    ///< Policy::on_window solver call inside the tick
   Dispatch,        ///< FunctionScheduler::dispatch (queues -> batches)
@@ -79,9 +79,6 @@ enum class Counter : int {
   EngineScheduled,         ///< EngineStats::scheduled (monotone)
   EngineFired,             ///< EngineStats::fired (monotone)
   EngineCancelled,         ///< EngineStats::cancelled (monotone)
-  CalendarBuckets,         ///< CalendarStats::buckets (current year size)
-  CalendarResizes,         ///< CalendarStats::resizes (monotone)
-  CalendarDirectSearches,  ///< CalendarStats::direct_searches (monotone)
   kCount
 };
 

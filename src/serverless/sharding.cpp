@@ -21,7 +21,6 @@ namespace smiless::serverless {
 /// Rng iff any fault knob is set), then Platform — the order every golden
 /// was pinned under.
 struct ShardedPlatform::Lane {
-  int id;
   sim::Engine engine;
   cluster::Cluster cluster;
   int machine_base;
@@ -36,10 +35,9 @@ struct ShardedPlatform::Lane {
   std::vector<std::vector<SimTime>> arrivals;  ///< per lane-local app, sorted
   std::vector<workload::ArrivalCursor> cursors;  ///< streaming position per app
 
-  Lane(int lane_id, std::size_t machines, cluster::MachineSpec spec, int base,
-       std::uint64_t seed, faults::FaultSpec fspec)
-      : id(lane_id),
-        cluster(machines, spec),
+  Lane(std::size_t machines, cluster::MachineSpec spec, int base, std::uint64_t seed,
+       faults::FaultSpec fspec)
+      : cluster(machines, spec),
         machine_base(base),
         rng(seed),
         injector(std::move(fspec), rng) {}
@@ -136,8 +134,8 @@ void ShardedPlatform::build_lanes() {
         fspec.crashes.push_back(local);
       }
 
-    auto lane = std::make_unique<Lane>(lane_id, n, options_.machine_spec, machine_base,
-                                       lane_seed, std::move(fspec));
+    auto lane = std::make_unique<Lane>(n, options_.machine_spec, machine_base, lane_seed,
+                                       std::move(fspec));
     if (options_.telemetry != nullptr && !lone) {
       lane->own_telemetry = std::make_unique<obs::Telemetry>();
       lane->telemetry = lane->own_telemetry.get();
@@ -273,12 +271,6 @@ void ShardedPlatform::run(SimTime end, sim::Clock* clock) {
       if (lane->prof != nullptr) options_.prof->merge(*lane->prof);
 }
 
-int ShardedPlatform::lane_of(int app) const {
-  SMILESS_CHECK_MSG(ran_, "lane_of before run()");
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < refs_.size());
-  return lanes_[static_cast<std::size_t>(refs_[static_cast<std::size_t>(app)].lane_index)]->id;
-}
-
 const AppMetrics& ShardedPlatform::metrics(int app) const {
   SMILESS_CHECK_MSG(ran_, "metrics before run()");
   SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < refs_.size());
@@ -308,7 +300,5 @@ faults::FaultStats ShardedPlatform::fault_stats() const {
   }
   return sum;
 }
-
-int ShardedPlatform::populated_lanes() const { return static_cast<int>(lanes_.size()); }
 
 }  // namespace smiless::serverless

@@ -119,8 +119,6 @@ class ShardedPlatform {
   /// `global_index` under a `lanes`-way split.
   static int lane_for(std::size_t global_index, int lanes);
 
-  int lane_of(int app) const;
-
   // --- the merged books (valid after run()) --------------------------------
 
   const AppMetrics& metrics(int app) const;
@@ -128,9 +126,6 @@ class ShardedPlatform {
   sim::EngineStats engine_stats() const;
   /// Injector counters summed over lanes.
   faults::FaultStats fault_stats() const;
-
-  int populated_lanes() const;
-  const ShardOptions& options() const { return options_; }
 
  private:
   struct Lane;

@@ -11,15 +11,13 @@ EventId Engine::schedule_at(SimTime t, Callback cb) {
   prof::ScopeTimer scope(prof_, prof::Site::EngineSchedule);
   SMILESS_CHECK_MSG(t >= now_, "cannot schedule in the past: " << t << " < " << now_);
   SMILESS_CHECK(cb != nullptr);
-  const EventId id = next_id_++;
   ++stats_.scheduled;
-  calendar_.schedule(t, id, std::move(cb));
-  return id;
+  return queue_.schedule(t, std::move(cb));
 }
 
 bool Engine::cancel(EventId id) {
   prof::ScopeTimer scope(prof_, prof::Site::EngineCancel);
-  const bool cancelled = calendar_.cancel(id);
+  const bool cancelled = queue_.cancel(id);
   if (cancelled) ++stats_.cancelled;
   return cancelled;
 }
@@ -29,11 +27,6 @@ void Engine::sample_counters(SimTime t) {
   prof_->sample(t, prof::Counter::EngineScheduled, static_cast<double>(stats_.scheduled));
   prof_->sample(t, prof::Counter::EngineFired, static_cast<double>(stats_.fired));
   prof_->sample(t, prof::Counter::EngineCancelled, static_cast<double>(stats_.cancelled));
-  const CalendarStats& cs = calendar_.stats();
-  prof_->sample(t, prof::Counter::CalendarBuckets, static_cast<double>(cs.buckets));
-  prof_->sample(t, prof::Counter::CalendarResizes, static_cast<double>(cs.resizes));
-  prof_->sample(t, prof::Counter::CalendarDirectSearches,
-                static_cast<double>(cs.direct_searches));
 }
 
 void Engine::run_until(SimTime end) {
@@ -43,7 +36,7 @@ void Engine::run_until(SimTime end) {
   SimTime t = 0.0;
   EventId id = 0;
   Callback cb;
-  while (calendar_.pop_due(end, &t, &id, &cb)) {
+  while (queue_.pop_due(end, &t, &id, &cb)) {
     now_ = t;
     ++stats_.fired;
     cb();

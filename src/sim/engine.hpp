@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 
 namespace smiless::prof {
 class Profiler;
@@ -26,11 +26,11 @@ struct EngineStats {
 /// cancellable callbacks. Events at the same timestamp fire in scheduling
 /// order, which makes whole experiments deterministic.
 ///
-/// The queue behind the clock is the O(1)-amortized calendar queue with
-/// slab-allocated nodes and inline callbacks (DESIGN.md §13). Its
-/// executable specification, sim::ReferenceQueue, lives outside the engine:
-/// the differential fuzz harness and the throughput bench's hold-model
-/// micro drive both and demand the same firing order.
+/// The queue behind the clock is sim::EventQueue, a 4-ary heap of (time, id)
+/// keys over callback slots (DESIGN.md §13). Its executable specification,
+/// sim::ReferenceQueue, lives outside the engine: the differential fuzz
+/// harness and the throughput bench's hold-model micro drive both and
+/// demand the same firing order.
 class Engine {
  public:
   using Callback = std::function<void()>;
@@ -66,24 +66,21 @@ class Engine {
   void run();
 
   /// Live pending events; cancelled (tombstoned) events are excluded.
-  std::size_t pending() const { return calendar_.live(); }
+  std::size_t pending() const { return queue_.live(); }
 
   /// Sim time of the earliest live pending event, or +infinity when the
-  /// queue is empty. Non-const because the queue reclaims tombstones on
-  /// the way to the head — a trajectory-neutral side effect. This is the
+  /// queue is empty. Non-const because the queue drops the cancelled
+  /// entries above the head — a trajectory-neutral side effect. This is the
   /// peek a paced lane loop (DESIGN.md §16) uses to decide which instant
   /// to wait for next; an unpaced run never calls it.
-  SimTime next_time() { return calendar_.next_time(); }
+  SimTime next_time() { return queue_.next_time(); }
 
   const EngineStats& stats() const { return stats_; }
 
-  /// Calendar-queue internals (bucket geometry, resizes, direct searches).
-  const CalendarStats& calendar_stats() const { return calendar_.stats(); }
-
   /// Attach (or detach, with nullptr) the runtime self-profiler. When set,
   /// run_until/schedule_at/cancel record wall-time scopes and the engine
-  /// samples its internal stats (live events, EngineStats, CalendarStats)
-  /// as deterministic sim-time counters every kSampleInterval fired events.
+  /// samples its internal stats (live events, EngineStats) as
+  /// deterministic sim-time counters every kSampleInterval fired events.
   /// Null means zero overhead beyond one pointer test per call.
   void set_profiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
@@ -96,9 +93,8 @@ class Engine {
   void sample_counters(SimTime t);
 
   SimTime now_ = 0.0;
-  EventId next_id_ = 1;
   EngineStats stats_;
-  CalendarQueue calendar_;
+  EventQueue queue_;
   prof::Profiler* prof_ = nullptr;  ///< optional self-profiler (not owned)
 };
 

@@ -8,18 +8,19 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "sim/calendar_queue.hpp"  // EventId
+#include "sim/event_queue.hpp"  // EventId
 
 namespace smiless::sim {
 
-/// The pre-calendar event queue, kept verbatim as the executable
+/// The simulator's first event queue, kept verbatim as the executable
 /// specification of the Engine's ordering contract: a binary heap of
 /// (time, id) keys shadowed by a `std::map<EventId, Callback>` whose
 /// presence marks an event live. Nothing in the simulator runs on it. The
-/// differential fuzz harness (tests/calendar_queue_test.cpp) drives a model
+/// differential fuzz harness (tests/event_queue_test.cpp) drives a model
 /// engine over it side by side with sim::Engine and demands identical
 /// firing orders, clocks and stats; the throughput bench's hold-model micro
-/// runs both queues and fails unless they fire the same (time, id) sequence.
+/// runs both queues and fails unless they fire the same (time, schedule
+/// order) sequence.
 class ReferenceQueue {
  public:
   using Callback = std::function<void()>;

@@ -22,7 +22,8 @@ std::vector<double> Trace::counts_as_double() const {
 }
 
 Trace generate_trace(const TraceOptions& o, Rng& rng) {
-  SMILESS_CHECK(o.duration > 0.0 && o.window > 0.0 && o.mean_rate >= 0.0);
+  SMILESS_CHECK(o.duration > 0.0 && o.duration <= kMaxTraceDuration && o.window > 0.0 &&
+                o.mean_rate >= 0.0);
   Trace trace;
   trace.window = o.window;
   const auto n_windows = static_cast<std::size_t>(o.duration / o.window);
@@ -89,7 +90,8 @@ TraceOptions preset_for_workload(const std::string& workload_name, double durati
 }
 
 Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, double duration) {
-  SMILESS_CHECK(duration > 0.0 && quiet_rate >= 0.0 && peak_rate >= quiet_rate);
+  SMILESS_CHECK(duration > 0.0 && duration <= kMaxTraceDuration && quiet_rate >= 0.0 &&
+                peak_rate >= quiet_rate);
   Trace trace;
   trace.window = 1.0;
   const auto n = static_cast<std::size_t>(duration);
@@ -114,7 +116,8 @@ Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, doubl
 }
 
 Trace generate_regular_trace(double interval, double jitter_frac, double duration, Rng& rng) {
-  SMILESS_CHECK(interval > 0.0 && jitter_frac >= 0.0 && duration > interval);
+  SMILESS_CHECK(interval > 0.0 && jitter_frac >= 0.0 && duration > interval &&
+                duration <= kMaxTraceDuration);
   Trace trace;
   trace.window = 1.0;
   double t = interval * rng.uniform(0.5, 1.0);

@@ -9,6 +9,12 @@
 
 namespace smiless::workload {
 
+/// Longest trace a generator builds, in seconds: 10^6 s, 139x the paper's
+/// 2 h runs. Every generator sizes its per-window counts, and the regular
+/// one its arrival loop, from the duration, so each checks this ceiling
+/// before sizing anything; exp::build_trace reports it naming `duration`.
+inline constexpr double kMaxTraceDuration = 1e6;
+
 /// Knobs of the Azure-Functions-like synthetic trace generator. The paper
 /// drives each application with invocation traces from the Azure Function
 /// Dataset, scaled from 1-minute to 2-second mean intervals; this generator

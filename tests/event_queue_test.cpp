@@ -1,32 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/reference_queue.hpp"
 
-// Differential fuzz harness for the calendar event queue: the same seeded
+// Differential fuzz harness for the engine's event queue: the same seeded
 // episode of schedule / cancel / run_until operations is replayed against
 // sim::Engine and against ModelEngine — the same clock and stats over the
-// pre-calendar heap+map pair (sim::ReferenceQueue) kept as the executable
-// specification — and the two trajectories must match exactly: firing
-// order, observed clocks, cancel results, pending() and next_time() probes,
-// and EngineStats. Episodes deliberately hit the nasty corners:
+// heap+map pair (sim::ReferenceQueue) kept as the executable specification
+// — and the two trajectories must match exactly: firing order, observed
+// clocks, cancel results, pending() and next_time() probes, and
+// EngineStats. The two engines mint different ids (the Engine's carry a
+// slot, the model's count 1, 2, 3), so the firing order is recorded as each
+// fired event's schedule index. Episodes deliberately hit the nasty corners:
 // same-timestamp bursts, cancel-after-fire, cancel-twice,
 // schedule-during-fire, cancel-during-fire, peeks during fire, zero-length
-// run_until steps, and far-future outliers that skew the bucket width.
+// run_until steps, cancelled slots reused at a tied timestamp, and
+// far-future outliers.
 
 namespace smiless::sim {
 namespace {
 
 /// sim::Engine's clock and stats bookkeeping over the ReferenceQueue: the
-/// model the calendar-backed Engine must match event for event.
+/// model the Engine must match event for event.
 class ModelEngine {
  public:
   using Callback = std::function<void()>;
@@ -69,7 +73,7 @@ class ModelEngine {
 
 struct Trace {
   std::vector<double> fire_times;
-  std::vector<EventId> fire_ids;
+  std::vector<std::size_t> fire_order;  ///< schedule index of each fired event
   std::vector<double> clock_probes;
   std::vector<bool> cancel_results;
   std::vector<std::size_t> pending_probes;
@@ -84,8 +88,8 @@ struct Trace {
 };
 
 // Mostly-quantized offsets so exact timestamp collisions are common (both
-// within one run_until window and across bucket boundaries); occasionally a
-// continuous or far-future draw to exercise width re-tuning.
+// within one run_until window and across them); occasionally a continuous
+// or far-future draw.
 double next_offset(Rng& rng) {
   const int kind = rng.uniform_int(0, 9);
   if (kind < 6) return 0.25 * rng.uniform_int(0, 12);  // ties, incl. offset 0
@@ -102,10 +106,10 @@ Trace run_episode(std::uint64_t seed, int max_schedules) {
   int budget = max_schedules;
 
   std::function<void(double)> schedule_one = [&](double t) {
-    auto idp = std::make_shared<EventId>(0);
-    *idp = e.schedule_at(t, [&, idp] {
+    const std::size_t index = ids.size();
+    ids.push_back(e.schedule_at(t, [&, index] {
       tr.fire_times.push_back(e.now());
-      tr.fire_ids.push_back(*idp);
+      tr.fire_order.push_back(index);
       if (budget > 0 && rng.bernoulli(0.4)) {  // schedule-during-fire
         --budget;
         schedule_one(e.now() + next_offset(rng));
@@ -116,8 +120,7 @@ Trace run_episode(std::uint64_t seed, int max_schedules) {
         tr.cancel_results.push_back(e.cancel(victim));
       }
       if (rng.bernoulli(0.2)) tr.next_time_probes.push_back(e.next_time());  // peek-during-fire
-    });
-    ids.push_back(*idp);
+    }));
   };
 
   const int steps = max_schedules * 2;
@@ -160,18 +163,18 @@ Trace run_episode(std::uint64_t seed, int max_schedules) {
 }
 
 void expect_identical(std::uint64_t seed, int max_schedules) {
-  const Trace cal = run_episode<Engine>(seed, max_schedules);
+  const Trace got = run_episode<Engine>(seed, max_schedules);
   const Trace ref = run_episode<ModelEngine>(seed, max_schedules);
-  ASSERT_EQ(cal.fire_ids, ref.fire_ids) << "seed " << seed;
-  EXPECT_EQ(cal.fire_times, ref.fire_times) << "seed " << seed;
-  EXPECT_EQ(cal.clock_probes, ref.clock_probes) << "seed " << seed;
-  EXPECT_EQ(cal.cancel_results, ref.cancel_results) << "seed " << seed;
-  EXPECT_EQ(cal.pending_probes, ref.pending_probes) << "seed " << seed;
-  EXPECT_EQ(cal.next_time_probes, ref.next_time_probes) << "seed " << seed;
-  EXPECT_TRUE(cal == ref) << "seed " << seed;
+  ASSERT_EQ(got.fire_order, ref.fire_order) << "seed " << seed;
+  EXPECT_EQ(got.fire_times, ref.fire_times) << "seed " << seed;
+  EXPECT_EQ(got.clock_probes, ref.clock_probes) << "seed " << seed;
+  EXPECT_EQ(got.cancel_results, ref.cancel_results) << "seed " << seed;
+  EXPECT_EQ(got.pending_probes, ref.pending_probes) << "seed " << seed;
+  EXPECT_EQ(got.next_time_probes, ref.next_time_probes) << "seed " << seed;
+  EXPECT_TRUE(got == ref) << "seed " << seed;
   // Sanity on the episode itself: non-trivial and internally consistent.
-  EXPECT_EQ(cal.scheduled, cal.fired + cal.cancelled + cal.final_pending) << "seed " << seed;
-  EXPECT_EQ(cal.final_pending, 0u) << "run() must drain; seed " << seed;
+  EXPECT_EQ(got.scheduled, got.fired + got.cancelled + got.final_pending) << "seed " << seed;
+  EXPECT_EQ(got.final_pending, 0u) << "run() must drain; seed " << seed;
 }
 
 // Deep episodes: a moderate number of seeds, several hundred events each.
@@ -203,25 +206,23 @@ TEST_P(DifferentialWide, ManySeededEpisodes) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, DifferentialWide, ::testing::Range(0, 8));
 
-// --- Calendar-specific structural coverage ---------------------------------
+// --- Ordering and cancellation corners ------------------------------------
 
-TEST(CalendarQueue, GrowsAndShrinksAcrossLoad) {
+TEST(EventQueue, LargeBacklogDrainsCompletely) {
   Engine e;
-  std::vector<EventId> ids;
+  std::vector<double> fired;
   for (int i = 0; i < 5000; ++i)
-    ids.push_back(e.schedule_at(0.001 * i, [] {}));
-  EXPECT_GT(e.calendar_stats().buckets, 16u);  // grew past kMinBuckets
-  EXPECT_GT(e.calendar_stats().resizes, 0u);
-  EXPECT_EQ(e.calendar_stats().peak_live, 5000u);
+    e.schedule_at(0.001 * i, [&] { fired.push_back(e.now()); });
+  EXPECT_EQ(e.pending(), 5000u);
   e.run();
   EXPECT_EQ(e.pending(), 0u);
-  EXPECT_EQ(e.calendar_stats().buckets, 16u);  // shrank back after the drain
+  ASSERT_EQ(fired.size(), 5000u);
+  for (int i = 0; i < 5000; ++i) ASSERT_EQ(fired[static_cast<std::size_t>(i)], 0.001 * i);
 }
 
 TEST(CalendarQueue, SameTimestampPileFiresInScheduleOrder) {
-  // A pile of identical timestamps is the calendar's worst case (one bucket
-  // takes everything); the tail-append fast path must keep it linear and
-  // FIFO must survive the resizes the pile forces.
+  // A pile of identical timestamps is ordered by id alone: FIFO must hold
+  // across thousands of ties.
   Engine e;
   std::vector<int> order;
   for (int i = 0; i < 4000; ++i)
@@ -231,14 +232,13 @@ TEST(CalendarQueue, SameTimestampPileFiresInScheduleOrder) {
   for (int i = 0; i < 4000; ++i) ASSERT_EQ(order[i], i);
 }
 
-TEST(CalendarQueue, SparseTailUsesDirectSearch) {
+TEST(EventQueue, SparseTailFiresInOrder) {
   Engine e;
   std::vector<double> fired;
   e.schedule_at(0.0, [&] { fired.push_back(e.now()); });
-  e.schedule_at(5.0e6, [&] { fired.push_back(e.now()); });  // years of empty buckets
+  e.schedule_at(5.0e6, [&] { fired.push_back(e.now()); });
   e.run();
   EXPECT_EQ(fired, (std::vector<double>{0.0, 5.0e6}));
-  EXPECT_GT(e.calendar_stats().direct_searches, 0u);
 }
 
 TEST(CalendarQueue, FarFutureAndInfiniteTimesAreOrderedCorrectly) {
@@ -283,6 +283,79 @@ TEST(CalendarQueue, ReferenceEngineHonorsSameContract) {
   e.run_until(3.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_DOUBLE_EQ(e.now(), 3.0);
+}
+
+TEST(EventQueue, StaleIdCannotCancelAReusedSlot) {
+  constexpr EventId kSlotMask = (EventId{1} << 24) - 1;
+  EventQueue q;
+  std::vector<int> fired;
+  const EventId old_id = q.schedule(1.0, [&] { fired.push_back(0); });
+  const EventId tie = q.schedule(2.0, [&] { fired.push_back(1); });
+  EXPECT_TRUE(q.cancel(old_id));
+  // The freed slot is reused at once, by an event that ties with `tie`.
+  const EventId reused = q.schedule(2.0, [&] { fired.push_back(2); });
+  ASSERT_EQ(reused & kSlotMask, old_id & kSlotMask);
+  EXPECT_NE(reused, old_id);
+  EXPECT_GT(reused, tie);
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_FALSE(q.cancel(0));
+  EXPECT_EQ(q.live(), 2u);
+  SimTime t = 0.0;
+  EventId id = 0;
+  EventQueue::Callback cb;
+  while (q.pop_due(10.0, &t, &id, &cb)) cb();
+  // Same time: schedule order, not slot order.
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.live(), 0u);
+  // A fired event's id is stale too, once its slot is reused.
+  q.schedule(3.0, [] {});
+  EXPECT_FALSE(q.cancel(reused));
+  EXPECT_FALSE(q.cancel(tie));
+  EXPECT_EQ(q.live(), 1u);
+}
+
+TEST(EventQueue, RebuildKeepsFireOrder) {
+  // Thousands of far-future events, most of them cancelled: the stale heap
+  // entries outgrow the live ones and the heap is rebuilt, several times.
+  // Survivors and later events (some tied with survivors) must still fire
+  // in (time, schedule order), with pending() exact throughout.
+  Engine e;
+  struct Fired {
+    SimTime time;
+    int order;
+    bool operator==(const Fired&) const = default;
+  };
+  std::vector<Fired> fired;
+  std::vector<Fired> expected;
+  std::vector<EventId> ids;
+  int order = 0;
+  const auto schedule = [&](SimTime t) {
+    const int mine = order++;
+    ids.push_back(e.schedule_at(t, [&fired, &e, mine] { fired.push_back({e.now(), mine}); }));
+    return mine;
+  };
+  for (int i = 0; i < 4000; ++i) schedule(1000.0 + (i * 37) % 500);
+  std::size_t pending = 4000;
+  for (int i = 0; i < 4000; ++i) {
+    if (i % 25 == 0) {
+      expected.push_back({1000.0 + (i * 37) % 500, i});
+      continue;
+    }
+    ASSERT_TRUE(e.cancel(ids[static_cast<std::size_t>(i)]));
+    ASSERT_EQ(e.pending(), --pending);
+  }
+  EXPECT_EQ(e.pending(), 160u);
+  for (int i = 0; i < 300; ++i) {
+    const SimTime t = 900.0 + (i * 11) % 700;
+    expected.push_back({t, schedule(t)});
+    EXPECT_EQ(e.pending(), ++pending);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Fired& a, const Fired& b) { return a.time < b.time; });
+  e.run();
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(e.stats().cancelled, 3840u);
 }
 
 }  // namespace

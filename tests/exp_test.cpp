@@ -354,6 +354,37 @@ TEST(ExpTrace, OverriddenDurationNotAboveRegularIntervalIsRejected) {
                {"'duration'", "interval (5.0)", "got 3.0"});
 }
 
+TEST(ExpTrace, PresetDurationAboveTheCeilingIsRejected) {
+  // What `--duration 1e300` does to the default preset trace.
+  exp::ExperimentConfig config;
+  config.app = "wl1";
+  config.trace.duration = 1e300;
+  const apps::App app = exp::resolve_app(config);
+  expect_error([&] { exp::build_trace(config, app); },
+               {"'duration'", "<= 1000000.0", "got 1e+300"});
+}
+
+TEST(ExpTrace, RegularDurationAboveTheCeilingIsRejected) {
+  auto config = exp::ExperimentConfig::from_json(
+      json::Value::parse(R"({"app": "wl1", "trace": {"kind": "regular", "interval": 5}})"));
+  config.trace.duration = 2e6;
+  const apps::App app = exp::resolve_app(config);
+  expect_error([&] { exp::build_trace(config, app); },
+               {"'duration'", "<= 1000000.0", "got 2000000.0"});
+}
+
+TEST(ExpTrace, BurstDurationAboveTheCeilingIsRejected) {
+  // A grid's durations axis, past the burst trace's reader.
+  const auto grid = exp::ExperimentGrid::from_json(json::Value::parse(
+      R"({"base": {"app": "wl1", "trace": {"kind": "burst"}},
+          "axes": {"durations": [2e6]}})"));
+  const auto cells = grid.expand();
+  ASSERT_EQ(cells.size(), 1u);
+  const apps::App app = exp::resolve_app(cells[0]);
+  expect_error([&] { exp::build_trace(cells[0], app); },
+               {"'duration'", "<= 1000000.0", "got 2000000.0"});
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;

@@ -132,10 +132,9 @@ TEST(Engine, PendingCountTracksCancellations) {
   EXPECT_EQ(e.pending(), 1u);
 }
 
-TEST(Engine, FifoHoldsAcrossBucketResizes) {
-  // Enough events to force the calendar's bucket array through several
-  // growth resizes, with two big same-timestamp cohorts interleaved at
-  // schedule time: each cohort must still fire in its schedule order.
+TEST(Engine, FifoHoldsAcrossInterleavedCohorts) {
+  // Two big same-timestamp cohorts interleaved at schedule time: each
+  // cohort must still fire in its schedule order.
   Engine e;
   std::vector<int> order;
   for (int i = 0; i < 600; ++i) {

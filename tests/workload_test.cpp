@@ -100,6 +100,14 @@ TEST(Trace, PresetsDifferAcrossWorkloads) {
   EXPECT_LT(wl1.mean_rate, wl3.mean_rate);
 }
 
+TEST(Trace, GeneratorsRejectDurationsAboveTheCeiling) {
+  Rng rng(12);
+  TraceOptions o;
+  o.duration = 2.0 * kMaxTraceDuration;
+  EXPECT_THROW(generate_trace(o, rng), CheckError);
+  EXPECT_THROW(generate_burst_window(0.5, 12.0, rng, 2.0 * kMaxTraceDuration), CheckError);
+}
+
 TEST(BurstWindow, PeakExceedsQuietPhase) {
   Rng rng(8);
   const Trace t = generate_burst_window(0.5, 12.0, rng);
@@ -133,6 +141,7 @@ TEST(RegularTrace, RejectsDegenerateParameters) {
   EXPECT_THROW(generate_regular_trace(0.0, 0.1, 60.0, rng), CheckError);
   EXPECT_THROW(generate_regular_trace(10.0, -0.1, 60.0, rng), CheckError);
   EXPECT_THROW(generate_regular_trace(10.0, 0.1, 5.0, rng), CheckError);
+  EXPECT_THROW(generate_regular_trace(10.0, 0.1, 2.0 * kMaxTraceDuration, rng), CheckError);
 }
 
 TEST(ArrivalCursor, DrainBoundsMatchTheirInjectionModes) {

@@ -580,6 +580,8 @@ inputs_smoke() {
   expect_rejected '--lanes: expected an integer, got "2x"' "${run[@]}" --lanes 2x
   expect_rejected '--duration: expected a number, got "60x"' "${run[@]}" --duration 60x
   expect_rejected "'duration'" "${run[@]}" --duration inf
+  expect_rejected "'duration'" "${run[@]}" --duration 1e300
+  expect_rejected "'duration'" "${run[@]}" --duration 1e12
   expect_rejected '--fault-init-p: expected a number, got "0.5x"' "${run[@]}" --fault-init-p 0.5x
   expect_rejected '--fault-crash machine: expected an integer, got "x"' \
     "${run[@]}" --fault-crash x@5:30
@@ -597,7 +599,8 @@ inputs_smoke() {
 # emit an artifact with the pinned schema — same keys and types as the
 # full-size BENCH_throughput.json at the repo root. The cell runs a second
 # time with one lane thread: every sharded row, multi-lane ones included,
-# must count the same trajectory as with the default thread count.
+# must count the same trajectory as with the default thread count. Last,
+# `--apps abc` and `--duration 10x` must each exit 2 naming the flag.
 bench_smoke() {
   echo "==== [bench] shrunken throughput cell + artifact schema ===="
   local dir out
@@ -649,14 +652,14 @@ assert det["cancels_per_request"] <= 0.01, \
 assert det["events_per_request"] <= 4231 / 1503, \
     f"events per request {det['events_per_request']:.4f} > {4231 / 1503:.4f}"
 micro = require(doc, "micro", dict, "$")
-for impl in ("calendar", "binary_heap"):
+for impl in ("event_queue", "reference_queue"):
     sec = require(micro, impl, dict, "micro")
     require(sec, "events", int, f"micro.{impl}")
     for k in ("wall_seconds", "events_per_sec"):
         require(sec, k, num, f"micro.{impl}")
 assert require(micro, "identical_fire_order", bool, "micro") is True, \
-    "calendar and reference queue fired different sequences"
-assert micro["calendar"]["events"] == micro["binary_heap"]["events"], \
+    "engine and reference queue fired different sequences"
+assert micro["event_queue"]["events"] == micro["reference_queue"]["events"], \
     "micro event counts differ between the queues"
 require(micro, "speedup", num, "micro")
 sh = require(doc, "sharded", dict, "$")
@@ -717,6 +720,23 @@ print(f"[bench] schema OK; lanes=1: {rows[0]['requests_per_sec']:.0f} requests/s
       f" micro fire order identical, speedup {micro['speedup']:.2f}x,"
       f" profile coverage {pr['coverage']:.3f}")
 EOF
+  # A flag value that is not wholly a number exits 2 naming the flag; it
+  # must not run on the number's prefix or abort in a forked child.
+  # bad_flag <flag> <value>
+  bad_flag() {
+    local rc=0
+    "${prefix}/bench/bench_throughput" "$1" "$2" --out "${dir}/bad.json" \
+        > /dev/null 2> "${dir}/stderr.txt" || rc=$?
+    if [ "${rc}" -eq 2 ] && grep -qF -- "$1: expected" "${dir}/stderr.txt" &&
+       [ ! -e "${dir}/bad.json" ]; then
+      echo "[bench] bench_throughput $1 $2 exits 2 naming $1 OK"
+      return 0
+    fi
+    echo "[bench] ERROR: bench_throughput $1 $2 exited ${rc}, want 2 naming $1"
+    sed 's/^/[bench]   | /' "${dir}/stderr.txt" | head -5
+    return 1
+  }
+  bad_flag --apps abc && bad_flag --duration 10x || { rm -rf "${dir}"; return 1; }
   rm -rf "${dir}"
   echo "[bench] throughput smoke green"
 }

@@ -70,17 +70,15 @@
 //   smiless_sim --config run.json
 //   smiless_sim --sweep grid.json --threads 8 --out results.json
 //   smiless_sim --policy all --fault-init-p 0.05 --fault-crash 2@120:60
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string_view>
-#include <type_traits>
 
 #include "apps/catalog.hpp"
 #include "baselines/experiment.hpp"
+#include "common/number.hpp"
 #include "common/table.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/artifacts.hpp"
@@ -130,23 +128,13 @@ struct CliOptions {
   std::exit(error.empty() ? 0 : 2);
 }
 
-/// Parse the whole of `text` as one T, or exit 2 naming `what` (the flag):
-/// `error: --seed: expected an integer, got "abc"`. Integers must fit T;
-/// a NaN is never a meaningful number.
+/// Parse the whole of `text` as one T (common::parse_number), or exit 2
+/// naming `what` (the flag): `error: --seed: expected an integer, got "abc"`.
 template <class T>
 T parse_number(const char* argv0, std::string_view what, std::string_view text) {
   T value{};
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  bool ok = ec == std::errc() && end == text.data() + text.size();
-  if constexpr (std::is_floating_point_v<T>) ok = ok && !std::isnan(value);
-  if (!ok) {
-    const bool range = ec == std::errc::result_out_of_range;
-    const char* expected = !std::is_integral_v<T> ? "a number"
-                           : range                ? "an integer in range"
-                                                  : "an integer";
-    usage(argv0, std::string(what) + ": expected " + expected + ", got \"" +
-                     std::string(text) + "\"");
-  }
+  const std::string error = common::parse_number(text, value);
+  if (!error.empty()) usage(argv0, std::string(what) + ": " + error);
   return value;
 }
 
