@@ -8,7 +8,8 @@
 
 using namespace smiless;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv);
   const perf::Pricing pricing;
   const perf::HwConfig cpu16{perf::Backend::Cpu, 16, 0};
   const perf::HwConfig gpu100{perf::Backend::Gpu, 0, 100};

@@ -26,7 +26,8 @@ double chain_latency(const core::ChainSolution& s) { return s.latency; }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv);
   const perf::Pricing pricing;
   const auto fns = pipeline();
 

@@ -30,6 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -359,6 +360,23 @@ int main(int argc, char** argv) {
   }
   cc.duration = bench::bench_duration(1800.0);
 
+  // Every populated lane needs a machine of its own slice (ShardedPlatform
+  // checks it mid-run, in the forked child); reject a smaller fleet here.
+  const int lane_counts[] = {1, 2, 4, 8};
+  for (const int lanes : lane_counts) {
+    std::vector<char> populated(static_cast<std::size_t>(lanes), 0);
+    for (std::size_t i = 0; i < cc.apps; ++i)
+      populated[static_cast<std::size_t>(serverless::ShardedPlatform::lane_for(i, lanes))] = 1;
+    const auto need = static_cast<std::size_t>(std::count(populated.begin(), populated.end(), 1));
+    if (cc.machines < need) {
+      std::fprintf(stderr,
+                   "bench_throughput: --machines must be >= %zu: the lanes=%d row spreads "
+                   "--apps %zu over %zu lanes, each needing a machine\n",
+                   need, lanes, cc.apps, need);
+      return 2;
+    }
+  }
+
   // One trace set shared by every lane count.
   std::vector<workload::Trace> traces;
   traces.reserve(cc.apps);
@@ -380,7 +398,6 @@ int main(int argc, char** argv) {
                cc.apps, cc.nodes_per_app, cc.machines, cc.duration, arrivals_total);
 
   const int lane_threads = bench::bench_args().lane_threads;
-  const int lane_counts[] = {1, 2, 4, 8};
   std::vector<EndToEnd> sharded;
   for (const int lanes : lane_counts) {
     sharded.push_back(run_isolated<EndToEnd>(

@@ -2,8 +2,7 @@
 
 namespace smiless::cluster {
 
-Cluster::Cluster(std::size_t machines, MachineSpec spec, Placement placement)
-    : spec_(spec), placement_(placement) {
+Cluster::Cluster(std::size_t machines, MachineSpec spec) : spec_(spec) {
   SMILESS_CHECK(machines >= 1);
   SMILESS_CHECK(spec.cpu_cores >= 0 && spec.gpu_pct >= 0);
   free_.assign(machines, spec);
@@ -16,37 +15,14 @@ std::optional<Allocation> Cluster::allocate(const perf::HwConfig& config) {
   const bool cpu = config.backend == perf::Backend::Cpu;
   const int need = cpu ? config.cpu_cores : config.gpu_pct;
 
-  int chosen = -1;
-  int chosen_free = 0;
   for (std::size_t m = 0; m < free_.size(); ++m) {
     if (down_[m]) continue;
-    const int avail = cpu ? free_[m].cpu_cores : free_[m].gpu_pct;
+    int& avail = cpu ? free_[m].cpu_cores : free_[m].gpu_pct;
     if (avail < need) continue;
-    switch (placement_) {
-      case Placement::FirstFit:
-        chosen = static_cast<int>(m);
-        break;
-      case Placement::BestFit:
-        if (chosen < 0 || avail < chosen_free) {
-          chosen = static_cast<int>(m);
-          chosen_free = avail;
-        }
-        break;
-      case Placement::WorstFit:
-        if (chosen < 0 || avail > chosen_free) {
-          chosen = static_cast<int>(m);
-          chosen_free = avail;
-        }
-        break;
-    }
-    if (placement_ == Placement::FirstFit && chosen >= 0) break;
+    avail -= need;
+    return Allocation{static_cast<int>(m), config};
   }
-  if (chosen < 0) return std::nullopt;
-  if (cpu)
-    free_[chosen].cpu_cores -= need;
-  else
-    free_[chosen].gpu_pct -= need;
-  return Allocation{chosen, config};
+  return std::nullopt;
 }
 
 void Cluster::release(const Allocation& a) {

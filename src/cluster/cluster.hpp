@@ -23,13 +23,10 @@ struct Allocation {
   perf::HwConfig config;
 };
 
-/// How allocations pick a machine. First-fit is the default (and what the
-/// experiments use); best-fit packs tightly (less stranded capacity for big
-/// GPU asks); worst-fit spreads load (less interference in a real cluster).
-enum class Placement { FirstFit, BestFit, WorstFit };
-
-/// A fixed fleet of machines with pluggable placement of container resource
-/// grants. Tracks free capacity; billing is handled by the serverless layer
+/// A fixed fleet of machines granting container resources first-fit: each
+/// grant goes to the lowest-numbered up machine with room, which packs
+/// small asks together and keeps whole machines free for big GPU asks.
+/// Tracks free capacity; billing is handled by the serverless layer
 /// (capacity and money are orthogonal concerns).
 ///
 /// Machines can be taken down (crash injection, maintenance) with
@@ -43,13 +40,13 @@ class Cluster {
   /// Observer of machine up/down transitions; `up` is the new state.
   using MachineListener = std::function<void(int machine, bool up)>;
 
-  Cluster(std::size_t machines, MachineSpec spec, Placement placement = Placement::FirstFit);
+  Cluster(std::size_t machines, MachineSpec spec);
 
   /// Default fleet from the paper: 8 machines.
   static Cluster paper_testbed() { return Cluster(8, MachineSpec{}); }
 
-  /// Try to place a container of the given configuration; std::nullopt when
-  /// no machine has room.
+  /// Place a container of the given configuration on the first up machine
+  /// with room; std::nullopt when none has.
   std::optional<Allocation> allocate(const perf::HwConfig& config);
 
   /// Return a previous grant. Valid for down machines too: the capacity
@@ -80,7 +77,6 @@ class Cluster {
   std::vector<MachineSpec> free_;
   std::vector<char> down_;
   MachineSpec spec_;
-  Placement placement_;
   int total_cpu_ = 0;
   int total_gpu_ = 0;
   std::vector<std::pair<int, MachineListener>> listeners_;

@@ -32,6 +32,7 @@ int lane_count(long long v) {
 void check_trace(const TraceSpec& t) {
   if (t.kind == "csv") return;
   const std::string max_duration = json::Value::format_double(workload::kMaxTraceDuration);
+  const std::string max_arrivals = json::Value::format_double(workload::kMaxTraceArrivals);
   if (t.kind == "regular") {
     if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
     if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
@@ -40,6 +41,12 @@ void check_trace(const TraceSpec& t) {
                    "> interval (" + json::Value::format_double(t.interval) + ") and <= " +
                        max_duration + " for a regular trace",
                    t.duration);
+    if (!(t.duration / t.interval <= workload::kMaxTraceArrivals))
+      json::reject("interval",
+                   ">= duration / " + max_arrivals + " (" +
+                       json::Value::format_double(t.duration / workload::kMaxTraceArrivals) +
+                       ") for a regular trace",
+                   t.interval);
     return;
   }
   if (!(t.duration > 0.0 && t.duration <= workload::kMaxTraceDuration))
@@ -50,6 +57,14 @@ void check_trace(const TraceSpec& t) {
     if (!(t.peak_rate >= t.quiet_rate))
       json::reject("peak_rate",
                    ">= quiet_rate (" + json::Value::format_double(t.quiet_rate) +
+                       ") for a burst trace",
+                   t.peak_rate);
+    // No window's rate exceeds peak_rate, so this bounds the expected
+    // arrivals; it also rejects an infinite peak_rate.
+    if (!(t.peak_rate * t.duration <= workload::kMaxTraceArrivals))
+      json::reject("peak_rate",
+                   "finite and <= " + max_arrivals + " / duration (" +
+                       json::Value::format_double(workload::kMaxTraceArrivals / t.duration) +
                        ") for a burst trace",
                    t.peak_rate);
   }

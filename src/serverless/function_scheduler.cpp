@@ -31,7 +31,7 @@ std::optional<std::size_t> warm_first_pick(const std::vector<Instance>& instance
 }
 
 FunctionScheduler::FunctionScheduler(sim::Engine& engine, Rng& rng,
-                                     const PlatformOptions& options, const AppTable& table,
+                                     const PlatformOptions& options, AppTable& table,
                                      Ledger& ledger)
     : engine_(engine), rng_(rng), options_(options), table_(table), ledger_(ledger) {}
 
@@ -40,53 +40,21 @@ void FunctionScheduler::wire(RequestTracker* tracker, InstancePool* pool) {
   pool_ = pool;
 }
 
-void FunctionScheduler::add_app(std::size_t nodes) {
-  apps_.emplace_back();
-  apps_.back().resize(nodes);
-}
-
-FunctionScheduler::FnQueue& FunctionScheduler::fn(AppId app, dag::NodeId node) {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  auto& fns = apps_[app];
-  SMILESS_CHECK(node >= 0 && static_cast<std::size_t>(node) < fns.size());
-  return fns[node];
-}
-
-const FunctionScheduler::FnQueue& FunctionScheduler::fn(AppId app, dag::NodeId node) const {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  const auto& fns = apps_[app];
-  SMILESS_CHECK(node >= 0 && static_cast<std::size_t>(node) < fns.size());
-  return fns[node];
-}
-
-void FunctionScheduler::set_plan(AppId app, dag::NodeId node, FunctionPlan plan) {
-  fn(app, node).plan = plan;
-}
-
-const FunctionPlan& FunctionScheduler::plan(AppId app, dag::NodeId node) const {
-  return fn(app, node).plan;
-}
-
 void FunctionScheduler::enqueue(AppId app, dag::NodeId node, RequestId request) {
-  fn(app, node).queue.push_back(request);
+  table_.fn(app, node).queue.push_back(request);
   dispatch(app, node);
 }
 
-void FunctionScheduler::push_front(AppId app, dag::NodeId node, RequestId request) {
-  fn(app, node).queue.push_front(request);
-}
-
 void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
-  if (halted_) return;
+  if (table_.finalized()) return;
   prof::ScopeTimer scope(options_.prof, prof::Site::Dispatch);
-  auto& f = fn(app, node);
+  FunctionState& f = table_.fn(app, node);
 
   while (!f.queue.empty()) {
-    std::vector<Instance>& instances = pool_->instances(app, node);
-    const std::optional<std::size_t> pick = warm_first_pick(instances, f.plan.config);
+    const std::optional<std::size_t> pick = warm_first_pick(f.instances, f.plan.config);
     if (!pick) break;
-    SMILESS_CHECK(*pick < instances.size());
-    Instance* chosen = &instances[*pick];
+    SMILESS_CHECK(*pick < f.instances.size());
+    Instance* chosen = &f.instances[*pick];
     SMILESS_CHECK(chosen->st == InstanceState::Idle);
 
     // Claim the instance and move the batch into it; its inflight list was
@@ -129,7 +97,7 @@ void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
 }
 
 void FunctionScheduler::fail_queued(AppId app, dag::NodeId node) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   while (!f.queue.empty()) {
     const RequestId r = f.queue.front();
     tracker_->fail_request(app, r);
@@ -138,19 +106,10 @@ void FunctionScheduler::fail_queued(AppId app, dag::NodeId node) {
 }
 
 void FunctionScheduler::strip_request(AppId app, RequestId request) {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  for (auto& f : apps_[app]) {
+  for (auto& f : table_.app(app).fns) {
     for (auto it = f.queue.begin(); it != f.queue.end();)
       it = (*it == request) ? f.queue.erase(it) : std::next(it);
   }
-}
-
-bool FunctionScheduler::queue_empty(AppId app, dag::NodeId node) const {
-  return fn(app, node).queue.empty();
-}
-
-std::size_t FunctionScheduler::queue_length(AppId app, dag::NodeId node) const {
-  return fn(app, node).queue.size();
 }
 
 }  // namespace smiless::serverless

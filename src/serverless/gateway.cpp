@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "prof/profiler.hpp"
 #include "serverless/app_table.hpp"
-#include "serverless/instance_pool.hpp"
 #include "serverless/ledger.hpp"
 #include "serverless/platform_view.hpp"
 #include "serverless/request_tracker.hpp"
@@ -11,17 +10,14 @@
 
 namespace smiless::serverless {
 
-Gateway::Gateway(sim::Engine& engine, const PlatformOptions& options, const AppTable& table,
+Gateway::Gateway(sim::Engine& engine, const PlatformOptions& options, AppTable& table,
                  Ledger& ledger)
     : engine_(engine), options_(options), table_(table), ledger_(ledger) {}
 
-void Gateway::wire(Platform* platform, RequestTracker* tracker, InstancePool* pool) {
+void Gateway::wire(Platform* platform, RequestTracker* tracker) {
   platform_ = platform;
   tracker_ = tracker;
-  pool_ = pool;
 }
-
-void Gateway::add_app() { open_arrivals_.push_back(0); }
 
 void Gateway::start(AppId app) {
   if (grids_.empty() || grids_.back().opened != engine_.now()) {
@@ -34,7 +30,7 @@ void Gateway::start(AppId app) {
 }
 
 void Gateway::window_tick(WindowGrid& grid) {
-  if (halted_) return;  // engine may still drain ticks after finalize()
+  if (table_.finalized()) return;  // engine may still drain ticks after finalize()
   // A deploy from on_window opens a new grid (its instant is not this
   // grid's), so this app list cannot grow while it ticks.
   for (const AppId app : grid.apps) close_window(app, grid.next_end);
@@ -44,25 +40,31 @@ void Gateway::window_tick(WindowGrid& grid) {
 
 void Gateway::close_window(AppId app, SimTime end) {
   prof::ScopeTimer scope(options_.prof, prof::Site::GatewayWindow);
+  AppState& a = table_.app(app);
   WindowStats stats;
   stats.window_end = end;
   stats.window_start = end - options_.window_seconds;
-  stats.arrivals = open_arrivals_[app];
+  stats.arrivals = a.open_arrivals;
 
   WindowSample sample;
   sample.window_start = stats.window_start;
   sample.arrivals = stats.arrivals;
-  const auto census = pool_->census(app);
-  sample.instances_total = census.total;
-  sample.instances_cpu = census.cpu;
-  sample.instances_gpu = census.gpu;
+  for (const FunctionState& f : a.fns) {
+    for (const Instance& inst : f.instances) {
+      ++sample.instances_total;
+      if (inst.config.backend == perf::Backend::Cpu)
+        ++sample.instances_cpu;
+      else
+        ++sample.instances_gpu;
+    }
+  }
   ledger_.books(app).windows.push_back(sample);
 
-  open_arrivals_[app] = 0;
+  a.open_arrivals = 0;
   PlatformView view(*platform_);
   {
     prof::ScopeTimer solver(options_.prof, prof::Site::PolicyWindow);
-    table_.policy(app).on_window(app, table_.spec(app), view, stats);
+    a.policy->on_window(app, a.spec, view, stats);
   }
 }
 
@@ -70,7 +72,7 @@ void Gateway::submit(AppId app, SimTime arrival) {
   SMILESS_CHECK(arrival >= engine_.now());
   engine_.schedule_at(arrival, [this, app] {
     ++ledger_.books(app).submitted;
-    ++open_arrivals_[app];
+    ++table_.app(app).open_arrivals;
     PlatformView view(*platform_);
     table_.policy(app).on_arrival(app, table_.spec(app), view, engine_.now());
     tracker_->admit(app);

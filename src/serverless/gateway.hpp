@@ -13,7 +13,6 @@ class Engine;
 namespace smiless::serverless {
 
 class AppTable;
-class InstancePool;
 class Ledger;
 class Platform;
 class RequestTracker;
@@ -30,14 +29,12 @@ struct PlatformOptions;
 /// itself publishes nothing.
 class Gateway {
  public:
-  Gateway(sim::Engine& engine, const PlatformOptions& options, const AppTable& table,
+  Gateway(sim::Engine& engine, const PlatformOptions& options, AppTable& table,
           Ledger& ledger);
 
-  /// Late binding of the collaborators (the facade wires the cycle).
-  void wire(Platform* platform, RequestTracker* tracker, InstancePool* pool);
+  /// Late binding of the collaborators (the Platform wires the cycle).
+  void wire(Platform* platform, RequestTracker* tracker);
 
-  /// Open the books for a newly deployed app.
-  void add_app();
   /// Start the app's windows: the first one starts now. The app joins the
   /// tick of apps deployed at this instant, or schedules a tick of its own
   /// (called after Policy::on_deploy so the deploy-time plan installation
@@ -46,9 +43,6 @@ class Gateway {
 
   /// Schedule a user request for `app` at absolute time `arrival`.
   void submit(AppId app, SimTime arrival);
-
-  /// Stop ticking (finalize). Idempotent.
-  void halt() { halted_ = true; }
 
  private:
   /// Apps deployed at one instant: their windows end together.
@@ -63,16 +57,11 @@ class Gateway {
 
   sim::Engine& engine_;
   const PlatformOptions& options_;
-  const AppTable& table_;
+  AppTable& table_;
   Ledger& ledger_;
   Platform* platform_ = nullptr;
   RequestTracker* tracker_ = nullptr;
-  InstancePool* pool_ = nullptr;
-  /// Arrivals in each app's open window, by AppId; closed windows' counts
-  /// live in the app's AppMetrics::windows.
-  std::vector<int> open_arrivals_;
   std::deque<WindowGrid> grids_;  // deque: the tick events hold grid refs
-  bool halted_ = false;
 };
 
 }  // namespace smiless::serverless

@@ -18,8 +18,7 @@ namespace smiless::serverless {
 using obs::EventType;
 
 InstancePool::InstancePool(sim::Engine& engine, cluster::Cluster& cluster, Rng& rng,
-                           const PlatformOptions& options, const AppTable& table,
-                           Ledger& ledger)
+                           const PlatformOptions& options, AppTable& table, Ledger& ledger)
     : engine_(engine),
       cluster_(cluster),
       rng_(rng),
@@ -32,29 +31,6 @@ void InstancePool::wire(Platform* platform, FunctionScheduler* scheduler,
   platform_ = platform;
   scheduler_ = scheduler;
   tracker_ = tracker;
-}
-
-void InstancePool::add_app(std::size_t nodes) {
-  apps_.emplace_back();
-  apps_.back().resize(nodes);
-}
-
-InstancePool::FnPool& InstancePool::fn(AppId app, dag::NodeId node) {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  auto& fns = apps_[app];
-  SMILESS_CHECK(node >= 0 && static_cast<std::size_t>(node) < fns.size());
-  return fns[node];
-}
-
-const InstancePool::FnPool& InstancePool::fn(AppId app, dag::NodeId node) const {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  const auto& fns = apps_[app];
-  SMILESS_CHECK(node >= 0 && static_cast<std::size_t>(node) < fns.size());
-  return fns[node];
-}
-
-std::vector<Instance>& InstancePool::instances(AppId app, dag::NodeId node) {
-  return fn(app, node).instances;
 }
 
 void InstancePool::claim(Instance& inst) {
@@ -70,9 +46,9 @@ double InstancePool::backoff_delay(int attempt) const {
 }
 
 void InstancePool::ensure_capacity(AppId app, dag::NodeId node) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   if (!f.instances.empty()) return;
-  if (create_instance(app, node, scheduler_->plan(app, node).config) != nullptr) return;
+  if (create_instance(app, node, f.plan.config) != nullptr) return;
   if (f.retry_scheduled) return;
   if (options_.max_retries >= 0 && f.retry_attempts >= options_.max_retries) {
     f.retry_attempts = 0;
@@ -90,7 +66,7 @@ void InstancePool::ensure_capacity(AppId app, dag::NodeId node) {
                            .value = backoff_delay(f.retry_attempts),
                            .count = f.retry_attempts});
   engine_.schedule_after(backoff_delay(f.retry_attempts), [this, app, node] {
-    fn(app, node).retry_scheduled = false;
+    table_.fn(app, node).retry_scheduled = false;
     scheduler_->dispatch(app, node);
   });
 }
@@ -98,7 +74,7 @@ void InstancePool::ensure_capacity(AppId app, dag::NodeId node) {
 Instance* InstancePool::create_instance(AppId app, dag::NodeId node,
                                         const perf::HwConfig& config) {
   prof::ScopeTimer scope(options_.prof, prof::Site::PoolCreate);
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto alloc = cluster_.allocate(config);
   if (!alloc) return nullptr;
 
@@ -135,7 +111,7 @@ Instance* InstancePool::create_instance(AppId app, dag::NodeId node,
 }
 
 void InstancePool::on_init_done(AppId app, dag::NodeId node, InstanceId instance_id) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   if (it == f.instances.end()) return;  // terminated during init (finalize)
@@ -154,7 +130,7 @@ void InstancePool::on_init_done(AppId app, dag::NodeId node, InstanceId instance
 }
 
 void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instance_id) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   if (it == f.instances.end()) return;  // evicted or finalized meanwhile
@@ -176,7 +152,7 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
   PlatformView view(*platform_);
   table_.policy(app).on_instance_failed(app, table_.spec(app), view, node,
                                         InstanceFailure::InitFailure);
-  if (scheduler_->queue_empty(app, node)) return;
+  if (f.queue.empty()) return;
   // The counter includes the just-failed attempt, so `>` grants the same
   // budget as the allocation path: the initial attempt plus max_retries
   // retries before giving up.
@@ -198,7 +174,7 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
 void InstancePool::on_batch_done(AppId app, dag::NodeId node, InstanceId instance_id,
                                  SimTime exec_start) {
   prof::ScopeTimer scope(options_.prof, prof::Site::PoolBatchDone);
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   SMILESS_CHECK_MSG(it != f.instances.end(), "busy instance vanished");
@@ -241,12 +217,12 @@ void InstancePool::on_instance_idle(AppId app, dag::NodeId node, InstanceId inst
   // Serve any queued work first; the instance may go Busy again.
   scheduler_->dispatch(app, node);
 
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   if (it == f.instances.end() || it->st != InstanceState::Idle) return;
 
-  const FunctionPlan& plan = scheduler_->plan(app, node);
+  const FunctionPlan& plan = f.plan;
 
   // Config drift: reap stale-config instances as soon as they are idle,
   // unless they are needed to hold the min_instances floor.
@@ -284,7 +260,7 @@ void InstancePool::arm_reap(AppId app, dag::NodeId node, Instance& inst) {
 }
 
 void InstancePool::on_reap_timer(AppId app, dag::NodeId node, InstanceId instance_id) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   if (it == f.instances.end()) return;
@@ -296,7 +272,7 @@ void InstancePool::on_reap_timer(AppId app, dag::NodeId node, InstanceId instanc
     arm_reap(app, node, *it);
     return;
   }
-  if (static_cast<int>(f.instances.size()) > scheduler_->plan(app, node).min_instances)
+  if (static_cast<int>(f.instances.size()) > f.plan.min_instances)
     terminate_instance(app, node, instance_id);
 }
 
@@ -306,7 +282,7 @@ void InstancePool::retire_accounting(AppId app, dag::NodeId node, const Instance
 }
 
 void InstancePool::terminate_instance(AppId app, dag::NodeId node, InstanceId instance_id) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
   SMILESS_CHECK(it != f.instances.end());
@@ -324,33 +300,6 @@ void InstancePool::terminate_instance(AppId app, dag::NodeId node, InstanceId in
                            .machine = it->alloc.machine});
   retire_accounting(app, node, *it);
   f.instances.erase(it);
-}
-
-
-int InstancePool::count_total(AppId app, dag::NodeId node) const {
-  return static_cast<int>(fn(app, node).instances.size());
-}
-
-int InstancePool::count_state(AppId app, dag::NodeId node, InstanceState st) const {
-  int n = 0;
-  for (const auto& i : fn(app, node).instances)
-    if (i.st == st) ++n;
-  return n;
-}
-
-InstancePool::Census InstancePool::census(AppId app) const {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < apps_.size());
-  Census c;
-  for (const auto& f : apps_[app]) {
-    for (const auto& inst : f.instances) {
-      ++c.total;
-      if (inst.config.backend == perf::Backend::Cpu)
-        ++c.cpu;
-      else
-        ++c.gpu;
-    }
-  }
-  return c;
 }
 
 }  // namespace smiless::serverless

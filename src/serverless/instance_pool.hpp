@@ -1,8 +1,5 @@
 #pragma once
 
-#include <deque>
-#include <vector>
-
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -11,7 +8,6 @@
 #include "serverless/instance.hpp"
 #include "serverless/plan.hpp"
 #include "serverless/types.hpp"
-#include "sim/engine.hpp"
 
 namespace smiless::serverless {
 
@@ -23,32 +19,21 @@ struct PlatformOptions;
 class RequestTracker;
 
 /// InstancePool — the container lifecycle manager. Single responsibility:
-/// own every function's instances and drive their Init -> Idle -> Busy ->
-/// terminated transitions: cold starts (on-demand, floor raises, pre-warm
-/// timers with liveness-aware dedup), keep-alive/grace reaping, config-drift
-/// reaping, machine-down eviction with in-flight re-dispatch, and the
-/// bounded-exponential-backoff cold-start retry ladder. Publishes obs:
+/// drive every function's instances (held in the AppTable) through their
+/// Init -> Idle -> Busy -> terminated transitions: cold starts (on-demand,
+/// floor raises, pre-warm timers with liveness-aware dedup), keep-alive/grace
+/// reaping, config-drift reaping, machine-down eviction with in-flight
+/// re-dispatch, and the bounded-exponential-backoff cold-start retry ladder,
+/// whose state is the function's record in the table. Publishes obs:
 /// InstanceCreated, InstanceReady, InstanceInitFailed, InstanceTerminated,
 /// InstanceEvicted, PrewarmFired, PrewarmSkipped, RetryScheduled, BatchEnd,
 /// InvocationDone.
 class InstancePool {
  public:
-  /// Instance counts of one app at a window boundary (Gateway census).
-  struct Census {
-    int total = 0;
-    int cpu = 0;
-    int gpu = 0;
-  };
-
   InstancePool(sim::Engine& engine, cluster::Cluster& cluster, Rng& rng,
-               const PlatformOptions& options, const AppTable& table, Ledger& ledger);
+               const PlatformOptions& options, AppTable& table, Ledger& ledger);
 
   void wire(Platform* platform, FunctionScheduler* scheduler, RequestTracker* tracker);
-
-  void add_app(std::size_t nodes);
-
-  /// The live instance list warm_first_pick selects from.
-  std::vector<Instance>& instances(AppId app, dag::NodeId node);
 
   /// Claim an idle instance for a batch: flip it Busy (the scheduler forms
   /// the batch). No engine call: a pending reap timer stays armed and, when
@@ -80,35 +65,13 @@ class InstancePool {
   /// warm when the pre-warmed one would become ready.
   void prewarm_at(AppId app, dag::NodeId node, SimTime init_start);
 
-  /// Force-create one instance under the function's current plan.
-  bool spawn(AppId app, dag::NodeId node);
-
   /// Evict all instances hosted on a machine that went down.
   void on_machine_down(int machine);
 
-  /// Bill and release every instance at `end`, cancel pre-warm timers, stop.
+  /// Bill and release every instance at `end` and cancel pre-warm timers.
   void finalize(SimTime end);
 
-  int count_total(AppId app, dag::NodeId node) const;
-  int count_state(AppId app, dag::NodeId node, InstanceState st) const;
-  Census census(AppId app) const;
-
  private:
-  struct PrewarmHandle {
-    SimTime at = 0.0;  ///< when the timer fires
-    sim::EventId id = 0;
-  };
-  struct FnPool {
-    std::vector<Instance> instances;
-    std::vector<PrewarmHandle> prewarms;  ///< exactly the pending pre-warm timers
-    InstanceId next_instance_id = 0;
-    bool retry_scheduled = false;
-    int retry_attempts = 0;  // consecutive failed cold starts (alloc or init)
-  };
-
-  FnPool& fn(AppId app, dag::NodeId node);
-  const FnPool& fn(AppId app, dag::NodeId node) const;
-
   void on_init_done(AppId app, dag::NodeId node, InstanceId instance_id);
   void on_init_failed(AppId app, dag::NodeId node, InstanceId instance_id);
   void on_instance_idle(AppId app, dag::NodeId node, InstanceId instance_id);
@@ -125,13 +88,11 @@ class InstancePool {
   cluster::Cluster& cluster_;
   Rng& rng_;
   const PlatformOptions& options_;
-  const AppTable& table_;
+  AppTable& table_;
   Ledger& ledger_;
   Platform* platform_ = nullptr;
   FunctionScheduler* scheduler_ = nullptr;
   RequestTracker* tracker_ = nullptr;
-  std::deque<std::vector<FnPool>> apps_;  // by AppId, then NodeId
-  bool halted_ = false;
 };
 
 }  // namespace smiless::serverless

@@ -19,10 +19,9 @@ namespace smiless::serverless {
 using obs::EventType;
 
 void InstancePool::on_machine_down(int machine) {
-  if (halted_) return;
-  for (std::size_t ai = 0; ai < apps_.size(); ++ai) {
-    const AppId app = static_cast<AppId>(ai);
-    auto& fns = apps_[ai];
+  if (table_.finalized()) return;
+  for (AppId app = 0; static_cast<std::size_t>(app) < table_.size(); ++app) {
+    auto& fns = table_.app(app).fns;
     for (std::size_t n = 0; n < fns.size(); ++n) {
       const auto node = static_cast<dag::NodeId>(n);
       auto& f = fns[n];
@@ -49,14 +48,15 @@ void InstancePool::on_machine_down(int machine) {
         // Re-dispatch in-flight work at the head of the queue, preserving
         // the original order; each re-dispatch spends one retry.
         for (auto rit = inst.inflight.rbegin(); rit != inst.inflight.rend(); ++rit) {
-          if (tracker_->in_terminal_state(app, *rit)) continue;
-          const int retries = tracker_->bump_retry(app, *rit);
+          RequestState& r = table_.request(app, *rit);
+          if (r.done || r.failed) continue;
+          ++r.retries;
           ++fm.retries;
-          if (options_.max_retries >= 0 && retries > options_.max_retries) {
+          if (options_.max_retries >= 0 && r.retries > options_.max_retries) {
             tracker_->fail_request(app, *rit);
             continue;
           }
-          scheduler_->push_front(app, node, *rit);
+          f.queue.push_front(*rit);
         }
         retire_accounting(app, node, inst);
         f.instances.erase(f.instances.begin() + static_cast<long>(i));
@@ -72,7 +72,7 @@ void InstancePool::on_machine_down(int machine) {
 }
 
 void InstancePool::apply_plan(AppId app, dag::NodeId node, const FunctionPlan& plan) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   // Reap idle instances whose configuration no longer matches (above the
   // floor); busy ones are reaped when they next go idle.
   std::vector<InstanceId> stale;
@@ -92,11 +92,11 @@ void InstancePool::apply_plan(AppId app, dag::NodeId node, const FunctionPlan& p
 }
 
 void InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
-  auto& f = fn(app, node);
+  auto& f = table_.fn(app, node);
   const SimTime at = std::max(init_start, engine_.now());
   const sim::EventId id = engine_.schedule_at(at, [this, app, node] {
-    if (halted_) return;
-    auto& fs = fn(app, node);
+    if (table_.finalized()) return;
+    auto& fs = table_.fn(app, node);
     // A fired timer drops its own handle, so the list holds exactly the
     // pending ones for finalize to cancel. Timers due at one instant fire
     // in scheduling order, which is list order, so the first handle due
@@ -105,7 +105,7 @@ void InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
                                    [&](const PrewarmHandle& h) { return h.at == engine_.now(); });
     SMILESS_CHECK(self != fs.prewarms.end());
     fs.prewarms.erase(self);
-    const FunctionPlan& plan = scheduler_->plan(app, node);
+    const FunctionPlan& plan = fs.plan;
     // Skip only if an existing instance is expected to still be warm when
     // the pre-warmed one would become ready — otherwise a short-lived
     // instance from the previous request would silently cancel the
@@ -145,15 +145,9 @@ void InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
   f.prewarms.push_back({at, id});
 }
 
-bool InstancePool::spawn(AppId app, dag::NodeId node) {
-  return create_instance(app, node, scheduler_->plan(app, node).config) != nullptr;
-}
-
 void InstancePool::finalize(SimTime end) {
-  halted_ = true;
-  for (std::size_t ai = 0; ai < apps_.size(); ++ai) {
-    const AppId app = static_cast<AppId>(ai);
-    auto& fns = apps_[ai];
+  for (AppId app = 0; static_cast<std::size_t>(app) < table_.size(); ++app) {
+    auto& fns = table_.app(app).fns;
     for (std::size_t n = 0; n < fns.size(); ++n) {
       const auto node = static_cast<dag::NodeId>(n);
       auto& f = fns[n];

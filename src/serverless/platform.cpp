@@ -26,7 +26,7 @@ Platform::Platform(sim::Engine& engine, cluster::Cluster& cluster, perf::Pricing
   SMILESS_CHECK(options_.retry_backoff >= 1.0);
   SMILESS_CHECK(options_.retry_max_delay >= options_.retry_delay);
   SMILESS_CHECK(options_.request_timeout > 0.0);
-  gateway_.wire(this, &tracker_, &pool_);
+  gateway_.wire(this, &tracker_);
   tracker_.wire(&scheduler_);
   scheduler_.wire(&tracker_, &pool_);
   pool_.wire(this, &scheduler_, &tracker_);
@@ -45,12 +45,7 @@ AppId Platform::deploy(apps::App app, std::shared_ptr<Policy> policy) {
   SMILESS_CHECK(policy != nullptr);
   SMILESS_CHECK(app.dag.size() == app.truth.size());
   const AppId id = table_.add(std::move(app), std::move(policy));
-  const std::size_t nodes = table_.nodes(id);
-  ledger_.add_app(nodes);
-  gateway_.add_app();
-  tracker_.add_app();
-  scheduler_.add_app(nodes);
-  pool_.add_app(nodes);
+  ledger_.add_app(table_.spec(id).dag.size());
 
   PlatformView view(*this);
   table_.policy(id).on_deploy(id, table_.spec(id), view);
@@ -61,60 +56,10 @@ AppId Platform::deploy(apps::App app, std::shared_ptr<Policy> policy) {
 void Platform::submit_request(AppId app, SimTime arrival) { gateway_.submit(app, arrival); }
 
 void Platform::finalize(SimTime end) {
-  if (finalized_) return;
-  finalized_ = true;
-  gateway_.halt();
-  scheduler_.halt();
+  if (table_.finalized()) return;
+  table_.finalize();
   pool_.finalize(end);
   tracker_.finalize();
 }
-
-// --- control surface --------------------------------------------------------
-
-void Platform::set_plan(AppId app, dag::NodeId node, FunctionPlan plan) {
-  SMILESS_CHECK(plan.max_batch >= 1);
-  SMILESS_CHECK(plan.min_instances >= 0);
-  scheduler_.set_plan(app, node, plan);
-  pool_.apply_plan(app, node, plan);
-  scheduler_.dispatch(app, node);
-}
-
-const FunctionPlan& Platform::plan(AppId app, dag::NodeId node) const {
-  return scheduler_.plan(app, node);
-}
-
-void Platform::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
-  pool_.prewarm_at(app, node, init_start);
-}
-
-bool Platform::spawn_instance(AppId app, dag::NodeId node) { return pool_.spawn(app, node); }
-
-// --- introspection -----------------------------------------------------------
-
-SimTime Platform::now() const { return engine_.now(); }
-
-int Platform::instances_total(AppId app, dag::NodeId node) const {
-  return pool_.count_total(app, node);
-}
-
-int Platform::instances_idle(AppId app, dag::NodeId node) const {
-  return pool_.count_state(app, node, InstanceState::Idle);
-}
-
-int Platform::instances_initializing(AppId app, dag::NodeId node) const {
-  return pool_.count_state(app, node, InstanceState::Init);
-}
-
-int Platform::instances_busy(AppId app, dag::NodeId node) const {
-  return pool_.count_state(app, node, InstanceState::Busy);
-}
-
-std::size_t Platform::queue_length(AppId app, dag::NodeId node) const {
-  return scheduler_.queue_length(app, node);
-}
-
-const AppMetrics& Platform::metrics(AppId app) const { return ledger_.metrics(app); }
-
-long Platform::in_flight(AppId app) const { return ledger_.in_flight(app); }
 
 }  // namespace smiless::serverless

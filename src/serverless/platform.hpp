@@ -34,6 +34,8 @@ class Profiler;
 
 namespace smiless::serverless {
 
+class PlatformView;
+
 /// Platform tuning knobs.
 struct PlatformOptions {
   double window_seconds = 1.0;  ///< Gateway counting window (s), §IV-B
@@ -82,20 +84,23 @@ struct PlatformOptions {
 };
 
 /// The serverless serving platform (OpenFaaS substitute) running inside the
-/// discrete-event engine. Platform is a thin facade over five narrowly
-/// scoped subsystems (see DESIGN.md §12 for the architecture map):
+/// discrete-event engine. Platform owns the one table of serving state and
+/// the subsystems that act on it (see DESIGN.md §12 for the architecture
+/// map):
 ///
+///  - AppTable         — every app's spec, policy, open window, requests
+///                        and per-function plan, queue and instances
 ///  - Gateway          — arrival intake and the per-app window ticker
 ///  - RequestTracker   — per-request DAG progress and terminal transitions
-///  - FunctionScheduler — per-function queues, batching and dispatch
-///                        (warm-first instance selection)
+///  - FunctionScheduler — batching and dispatch (warm-first instance
+///                        selection)
 ///  - InstancePool     — container lifecycle: cold starts, keep-alive
 ///                        reaping, pre-warm timers, eviction, retry ladder
 ///  - Ledger           — billing (Eq. 3), metrics books, window samples
 ///
-/// The facade owns them all, wires their call cycle, validates inputs, and
-/// preserves the original public control surface so policies and drivers are
-/// untouched by the decomposition.
+/// It wires their call cycle and runs the run lifecycle (deploy, submit,
+/// finalize); PlatformView, a friend, is the one control surface policies
+/// and tests plan and observe through.
 ///
 /// Execution semantics:
 ///  - A request triggers its DAG's source functions; a function becomes
@@ -141,39 +146,14 @@ class Platform {
   /// engine has drained). Idempotent.
   void finalize(SimTime end);
 
-  // --- control surface used by policies -----------------------------------
-
-  /// Replace the plan of one function. Config changes apply to future
-  /// instances; existing mismatched instances are reaped when next idle.
-  void set_plan(AppId app, dag::NodeId node, FunctionPlan plan);
-  const FunctionPlan& plan(AppId app, dag::NodeId node) const;
-
-  /// Schedule a pre-warm: at `init_start`, create a fresh instance (cold
-  /// init begins then) unless an existing instance is expected to still be
-  /// warm when the pre-warmed one would become ready.
-  void prewarm_at(AppId app, dag::NodeId node, SimTime init_start);
-
-  /// Force-create one instance now (cold). Returns false if the cluster had
-  /// no capacity.
-  bool spawn_instance(AppId app, dag::NodeId node);
-
-  // --- introspection -------------------------------------------------------
-
-  SimTime now() const;
-  int instances_total(AppId app, dag::NodeId node) const;
-  int instances_idle(AppId app, dag::NodeId node) const;
-  int instances_initializing(AppId app, dag::NodeId node) const;
-  int instances_busy(AppId app, dag::NodeId node) const;
-  std::size_t queue_length(AppId app, dag::NodeId node) const;
-
-  const AppMetrics& metrics(AppId app) const;
-  /// Requests still pending (submitted - completed - failed).
-  long in_flight(AppId app) const;
+  const AppMetrics& metrics(AppId app) const { return ledger_.metrics(app); }
 
   /// The platform's books: per-instance BillingRecords and metrics.
   const Ledger& ledger() const { return ledger_; }
 
  private:
+  friend class PlatformView;
+
   sim::Engine& engine_;
   cluster::Cluster& cluster_;
   Rng& rng_;
@@ -184,7 +164,6 @@ class Platform {
   RequestTracker tracker_;
   FunctionScheduler scheduler_;
   InstancePool pool_;
-  bool finalized_ = false;
   int cluster_listener_ = 0;  ///< token of the machine-down listener
 };
 

@@ -1,7 +1,6 @@
 #include "serverless/request_tracker.hpp"
 
 #include <cmath>
-#include <iterator>
 
 #include "common/check.hpp"
 #include "obs/event_bus.hpp"
@@ -9,30 +8,19 @@
 #include "serverless/function_scheduler.hpp"
 #include "serverless/ledger.hpp"
 #include "serverless/platform.hpp"
+#include "sim/engine.hpp"
 
 namespace smiless::serverless {
 
 using obs::EventType;
 
 RequestTracker::RequestTracker(sim::Engine& engine, const PlatformOptions& options,
-                               const AppTable& table, Ledger& ledger)
+                               AppTable& table, Ledger& ledger)
     : engine_(engine), options_(options), table_(table), ledger_(ledger) {}
 
-void RequestTracker::add_app() { requests_.emplace_back(); }
-
-std::vector<RequestTracker::RequestState>& RequestTracker::app_requests(AppId app) {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < requests_.size());
-  return requests_[app];
-}
-
-RequestTracker::RequestState& RequestTracker::req(AppId app, RequestId request) {
-  auto& rs = app_requests(app);
-  SMILESS_CHECK(request >= 0 && static_cast<std::size_t>(request) < rs.size());
-  return rs[request];
-}
-
 RequestId RequestTracker::admit(AppId app) {
-  const auto& spec = table_.spec(app);
+  AppState& a = table_.app(app);
+  const auto& spec = a.spec;
   RequestState r;
   r.arrival = engine_.now();
   r.pending_preds.resize(spec.dag.size());
@@ -40,9 +28,8 @@ RequestId RequestTracker::admit(AppId app) {
   for (std::size_t n = 0; n < spec.dag.size(); ++n)
     r.pending_preds[n] = static_cast<int>(spec.dag.in_degree(static_cast<dag::NodeId>(n)));
   r.sinks_remaining = static_cast<int>(spec.dag.sinks().size());
-  auto& rs = app_requests(app);
-  rs.push_back(std::move(r));
-  const auto ridx = static_cast<RequestId>(rs.size() - 1);
+  a.requests.push_back(std::move(r));
+  const auto ridx = static_cast<RequestId>(a.requests.size() - 1);
   if (options_.bus != nullptr)
     options_.bus->publish({.type = EventType::RequestSubmitted,
                            .t = engine_.now(),
@@ -54,7 +41,7 @@ RequestId RequestTracker::admit(AppId app) {
 }
 
 void RequestTracker::on_node_ready(AppId app, dag::NodeId node, RequestId request) {
-  if (options_.record_traces) req(app, request).ready_at[node] = engine_.now();
+  if (options_.record_traces) table_.request(app, request).ready_at[node] = engine_.now();
   if (options_.bus != nullptr)
     options_.bus->publish({.type = EventType::InvocationReady,
                            .t = engine_.now(),
@@ -67,13 +54,13 @@ void RequestTracker::on_node_ready(AppId app, dag::NodeId node, RequestId reques
 
 void RequestTracker::arm_timeout(AppId app, dag::NodeId node, RequestId request) {
   if (!std::isfinite(options_.request_timeout)) return;
-  auto& r = req(app, request);
+  auto& r = table_.request(app, request);
   if (r.timeout_ev.empty()) r.timeout_ev.assign(table_.spec(app).dag.size(), 0);
   if (r.timeout_ev[node] != 0) return;  // deadline set at first readiness
   r.timeout_ev[node] =
       engine_.schedule_after(options_.request_timeout, [this, app, node, request] {
-        if (halted_) return;
-        auto& rr = req(app, request);
+        if (table_.finalized()) return;
+        auto& rr = table_.request(app, request);
         rr.timeout_ev[node] = 0;
         if (rr.done || rr.failed) return;
         ++ledger_.fn(app, node).timeouts;
@@ -88,7 +75,7 @@ void RequestTracker::arm_timeout(AppId app, dag::NodeId node, RequestId request)
 }
 
 void RequestTracker::fail_request(AppId app, RequestId request) {
-  auto& r = req(app, request);
+  auto& r = table_.request(app, request);
   if (r.done || r.failed) return;
   r.failed = true;
   ++ledger_.books(app).failed;
@@ -109,20 +96,9 @@ void RequestTracker::fail_request(AppId app, RequestId request) {
   scheduler_->strip_request(app, request);
 }
 
-bool RequestTracker::in_terminal_state(AppId app, RequestId request) const {
-  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < requests_.size());
-  const auto& rs = requests_[app];
-  SMILESS_CHECK(request >= 0 && static_cast<std::size_t>(request) < rs.size());
-  return rs[request].done || rs[request].failed;
-}
-
-int RequestTracker::bump_retry(AppId app, RequestId request) {
-  return ++req(app, request).retries;
-}
-
 void RequestTracker::record_span(AppId app, dag::NodeId node, RequestId request,
                                  SimTime exec_start, int batch_size) {
-  auto& r = req(app, request);
+  auto& r = table_.request(app, request);
   NodeSpan span;
   span.node = node;
   span.ready = r.ready_at[node];
@@ -135,7 +111,7 @@ void RequestTracker::record_span(AppId app, dag::NodeId node, RequestId request,
 }
 
 void RequestTracker::complete_node(AppId app, dag::NodeId node, RequestId request) {
-  auto& r = req(app, request);
+  auto& r = table_.request(app, request);
   if (r.failed) return;  // late completion of a batch holding a failed request
   SMILESS_CHECK(!r.done);
   if (!r.timeout_ev.empty() && r.timeout_ev[node] != 0) {
@@ -164,10 +140,9 @@ void RequestTracker::complete_node(AppId app, dag::NodeId node, RequestId reques
 }
 
 void RequestTracker::finalize() {
-  halted_ = true;
   // Outstanding per-invocation timeout timers die with the run.
-  for (auto& rs : requests_)
-    for (auto& r : rs)
+  for (AppId app = 0; static_cast<std::size_t>(app) < table_.size(); ++app)
+    for (auto& r : table_.app(app).requests)
       for (auto& ev : r.timeout_ev)
         if (ev != 0) {
           engine_.cancel(ev);

@@ -1,13 +1,12 @@
 #pragma once
 
-#include <deque>
-#include <vector>
-
 #include "common/units.hpp"
 #include "dag/dag.hpp"
-#include "serverless/tracing.hpp"
 #include "serverless/types.hpp"
-#include "sim/engine.hpp"
+
+namespace smiless::sim {
+class Engine;
+}  // namespace smiless::sim
 
 namespace smiless::serverless {
 
@@ -25,12 +24,10 @@ struct PlatformOptions;
 /// RequestCompleted.
 class RequestTracker {
  public:
-  RequestTracker(sim::Engine& engine, const PlatformOptions& options, const AppTable& table,
+  RequestTracker(sim::Engine& engine, const PlatformOptions& options, AppTable& table,
                  Ledger& ledger);
 
   void wire(FunctionScheduler* scheduler) { scheduler_ = scheduler; }
-
-  void add_app();
 
   /// Admit one request at the current sim time: build its DAG progress
   /// state, publish RequestSubmitted, and enqueue the DAG's source nodes.
@@ -50,44 +47,21 @@ class RequestTracker {
   /// metrics before calling.
   void fail_request(AppId app, RequestId request);
 
-  /// True when the request already reached Completed or Failed.
-  bool in_terminal_state(AppId app, RequestId request) const;
-
-  /// Count one re-dispatch of the request (eviction path); returns the new
-  /// per-request retry total.
-  int bump_retry(AppId app, RequestId request);
-
   /// Record one executed NodeSpan for `request` at `node` (tracing mode).
   void record_span(AppId app, dag::NodeId node, RequestId request, SimTime exec_start,
                    int batch_size);
 
-  /// Cancel all outstanding timeout timers and stop (finalize). Idempotent.
+  /// Cancel all outstanding timeout timers (finalize).
   void finalize();
 
  private:
-  struct RequestState {
-    SimTime arrival = 0.0;
-    std::vector<int> pending_preds;  // per node
-    std::vector<SimTime> ready_at;   // when each node's invocation became ready
-    std::vector<NodeSpan> spans;     // recorded when tracing is enabled
-    std::vector<sim::EventId> timeout_ev;  // per node; non-empty iff timeout armed
-    int sinks_remaining = 0;
-    int retries = 0;  // times any invocation of this request was re-dispatched
-    bool done = false;
-    bool failed = false;  // terminal Failed state (timeout / retries exhausted)
-  };
-
   void arm_timeout(AppId app, dag::NodeId node, RequestId request);
-  RequestState& req(AppId app, RequestId request);
-  std::vector<RequestState>& app_requests(AppId app);
 
   sim::Engine& engine_;
   const PlatformOptions& options_;
-  const AppTable& table_;
+  AppTable& table_;
   Ledger& ledger_;
   FunctionScheduler* scheduler_ = nullptr;
-  std::deque<std::vector<RequestState>> requests_;  // by AppId
-  bool halted_ = false;
 };
 
 }  // namespace smiless::serverless

@@ -3,7 +3,7 @@
 namespace smiless::serverless {
 
 /// Shared identifier vocabulary of the serverless layer. Hoisted out of
-/// policy.hpp so the Policy interface, the Platform facade and the five
+/// policy.hpp so the Policy interface, the Platform, its AppTable and the
 /// subsystems (Gateway, RequestTracker, FunctionScheduler, InstancePool,
 /// Ledger) can name the same ids without a Policy<->Platform header tangle.
 

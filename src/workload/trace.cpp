@@ -91,7 +91,7 @@ TraceOptions preset_for_workload(const std::string& workload_name, double durati
 
 Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, double duration) {
   SMILESS_CHECK(duration > 0.0 && duration <= kMaxTraceDuration && quiet_rate >= 0.0 &&
-                peak_rate >= quiet_rate);
+                peak_rate >= quiet_rate && peak_rate * duration <= kMaxTraceArrivals);
   Trace trace;
   trace.window = 1.0;
   const auto n = static_cast<std::size_t>(duration);
@@ -117,7 +117,7 @@ Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, doubl
 
 Trace generate_regular_trace(double interval, double jitter_frac, double duration, Rng& rng) {
   SMILESS_CHECK(interval > 0.0 && jitter_frac >= 0.0 && duration > interval &&
-                duration <= kMaxTraceDuration);
+                duration <= kMaxTraceDuration && duration / interval <= kMaxTraceArrivals);
   Trace trace;
   trace.window = 1.0;
   double t = interval * rng.uniform(0.5, 1.0);

@@ -15,6 +15,14 @@ namespace smiless::workload {
 /// before sizing anything; exp::build_trace reports it naming `duration`.
 inline constexpr double kMaxTraceDuration = 1e6;
 
+/// Most arrivals a generated trace may be expected to hold: 10^7, above any
+/// preset's at the duration ceiling. The regular and burst generators
+/// take their rate from the caller, so each checks it against this ceiling
+/// (a regular trace expects duration / interval arrivals, a burst trace at
+/// most peak_rate x duration) before allocating; exp::build_trace reports
+/// it naming `interval` or `peak_rate`.
+inline constexpr double kMaxTraceArrivals = 1e7;
+
 /// Knobs of the Azure-Functions-like synthetic trace generator. The paper
 /// drives each application with invocation traces from the Azure Function
 /// Dataset, scaled from 1-minute to 2-second mean intervals; this generator

@@ -192,7 +192,7 @@ TEST(RunExperiment, UndeliveredRequestsCountAsViolations) {
   engine.run_until(30.0);
   platform.finalize(30.0);
   EXPECT_EQ(platform.metrics(id).completed.size(), 0u);
-  EXPECT_EQ(platform.in_flight(id), 1);
+  EXPECT_EQ(platform.ledger().in_flight(id), 1);
 }
 
 }  // namespace

@@ -70,50 +70,13 @@ TEST(Cluster, DoubleReleaseIsDetected) {
   EXPECT_THROW(c.release(*a), CheckError);
 }
 
-TEST(Placement, BestFitPacksTightestMachine) {
-  Cluster c(2, {8, 0}, Placement::BestFit);
-  // Leave machine 0 with 2 free and machine 1 with 6 free.
-  ASSERT_TRUE(c.allocate({Backend::Cpu, 6, 0}));  // m0: 2 free
-  ASSERT_TRUE(c.allocate({Backend::Cpu, 2, 0}));  // best-fit -> m0 again (exact fit)
-  // Machine 0 now full; next 2-core lands on machine 1.
-  const auto a = c.allocate({Backend::Cpu, 2, 0});
-  ASSERT_TRUE(a);
-  EXPECT_EQ(a->machine, 1);
-}
-
-TEST(Placement, WorstFitSpreadsLoad) {
-  Cluster c(2, {8, 0}, Placement::WorstFit);
-  ASSERT_TRUE(c.allocate({Backend::Cpu, 2, 0}));  // m0 (tie -> first)
-  const auto b = c.allocate({Backend::Cpu, 2, 0});
-  ASSERT_TRUE(b);
-  EXPECT_EQ(b->machine, 1);  // m1 now has more free capacity
-}
-
 TEST(Placement, WorstFitStrandsWholeGpuCapacity) {
-  // Spreading MPS slices across machines (worst-fit) strands whole-GPU
-  // capacity that packing policies preserve — why the platform defaults to
-  // a packing placement.
-  Cluster wf(2, {0, 100}, Placement::WorstFit);
-  ASSERT_TRUE(wf.allocate({Backend::Gpu, 0, 30}));  // m0
-  ASSERT_TRUE(wf.allocate({Backend::Gpu, 0, 40}));  // worst fit -> m1 (100 > 70)
-  EXPECT_FALSE(wf.allocate({Backend::Gpu, 0, 100}).has_value());
-
-  for (const auto packing : {Placement::FirstFit, Placement::BestFit}) {
-    Cluster c(2, {0, 100}, packing);
-    ASSERT_TRUE(c.allocate({Backend::Gpu, 0, 30}));
-    ASSERT_TRUE(c.allocate({Backend::Gpu, 0, 40}));  // packs onto m0
-    EXPECT_TRUE(c.allocate({Backend::Gpu, 0, 100}).has_value());  // m1 intact
-  }
-}
-
-TEST(Placement, AllStrategiesAgreeOnTotalCapacity) {
-  for (const auto placement :
-       {Placement::FirstFit, Placement::BestFit, Placement::WorstFit}) {
-    Cluster c(3, {4, 100}, placement);
-    int grants = 0;
-    while (c.allocate({Backend::Cpu, 1, 0})) ++grants;
-    EXPECT_EQ(grants, 12);
-  }
+  // Spreading MPS slices across machines (worst fit) would strand the
+  // whole-GPU capacity that first fit keeps by packing them onto one.
+  Cluster c(2, {0, 100});
+  ASSERT_TRUE(c.allocate({Backend::Gpu, 0, 30}));
+  ASSERT_TRUE(c.allocate({Backend::Gpu, 0, 40}));  // packs onto m0
+  EXPECT_TRUE(c.allocate({Backend::Gpu, 0, 100}).has_value());  // m1 intact
 }
 
 TEST(ClusterDown, DownMachineAcceptsNoAllocations) {
@@ -169,75 +132,72 @@ TEST(ClusterDown, ListenersFireOnTransitionsOnly) {
 // Property test: no randomized sequence of allocate / release / mark_down /
 // mark_up may drive the free ledger negative, above the machine capacity, or
 // leak capacity — and a full release with all machines up restores the
-// initial state exactly. Run for every placement strategy.
+// initial state exactly.
 TEST(ClusterProperty, RandomOpsPreserveCapacityInvariants) {
   const std::vector<HwConfig> asks = {
       {Backend::Cpu, 1, 0},  {Backend::Cpu, 4, 0},  {Backend::Cpu, 13, 0},
       {Backend::Gpu, 0, 10}, {Backend::Gpu, 0, 35}, {Backend::Gpu, 0, 100},
   };
-  for (const auto placement :
-       {Placement::FirstFit, Placement::BestFit, Placement::WorstFit}) {
-    const int machines = 4;
-    const MachineSpec spec{26, 100};
-    Cluster c(machines, spec, placement);
-    Rng rng(0xC1A5 + static_cast<int>(placement));
-    std::vector<Allocation> live;
+  const int machines = 4;
+  const MachineSpec spec{26, 100};
+  Cluster c(machines, spec);
+  Rng rng(0xC1A5);
+  std::vector<Allocation> live;
 
-    auto check_invariants = [&] {
-      int up_cpu = 0, up_gpu = 0;
-      for (int m = 0; m < machines; ++m) {
-        const auto& f = c.free_of(m);
-        ASSERT_GE(f.cpu_cores, 0) << "machine " << m;
-        ASSERT_LE(f.cpu_cores, spec.cpu_cores) << "machine " << m;
-        ASSERT_GE(f.gpu_pct, 0) << "machine " << m;
-        ASSERT_LE(f.gpu_pct, spec.gpu_pct) << "machine " << m;
-        if (c.machine_up(m)) {
-          up_cpu += f.cpu_cores;
-          up_gpu += f.gpu_pct;
-        }
-      }
-      ASSERT_EQ(c.free_cpu_cores(), up_cpu);
-      ASSERT_EQ(c.free_gpu_pct(), up_gpu);
-      ASSERT_GE(c.free_cpu_cores(), 0);
-      ASSERT_LE(c.free_cpu_cores(), c.total_cpu_cores());
-      ASSERT_GE(c.free_gpu_pct(), 0);
-      ASSERT_LE(c.free_gpu_pct(), c.total_gpu_pct());
-    };
-
-    for (int step = 0; step < 3000; ++step) {
-      const int op = rng.uniform_int(0, 9);
-      if (op < 5) {  // allocate
-        const auto& ask = asks[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(asks.size()) - 1))];
-        if (auto a = c.allocate(ask)) {
-          ASSERT_TRUE(c.machine_up(a->machine));  // never lands on a down machine
-          live.push_back(*a);
-        }
-      } else if (op < 8) {  // release a random outstanding grant
-        if (!live.empty()) {
-          const auto i = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(live.size()) - 1));
-          c.release(live[i]);
-          live[i] = live.back();
-          live.pop_back();
-        }
-      } else if (op == 8) {
-        c.mark_down(rng.uniform_int(0, machines - 1));
-      } else {
-        c.mark_up(rng.uniform_int(0, machines - 1));
-      }
-      check_invariants();
-    }
-
-    // Drain: return every grant, bring every machine up -> initial state.
-    for (const auto& a : live) c.release(a);
-    for (int m = 0; m < machines; ++m) c.mark_up(m);
-    EXPECT_EQ(c.free_cpu_cores(), c.total_cpu_cores());
-    EXPECT_EQ(c.free_gpu_pct(), c.total_gpu_pct());
+  auto check_invariants = [&] {
+    int up_cpu = 0, up_gpu = 0;
     for (int m = 0; m < machines; ++m) {
-      EXPECT_EQ(c.free_of(m).cpu_cores, spec.cpu_cores);
-      EXPECT_EQ(c.free_of(m).gpu_pct, spec.gpu_pct);
+      const auto& f = c.free_of(m);
+      ASSERT_GE(f.cpu_cores, 0) << "machine " << m;
+      ASSERT_LE(f.cpu_cores, spec.cpu_cores) << "machine " << m;
+      ASSERT_GE(f.gpu_pct, 0) << "machine " << m;
+      ASSERT_LE(f.gpu_pct, spec.gpu_pct) << "machine " << m;
+      if (c.machine_up(m)) {
+        up_cpu += f.cpu_cores;
+        up_gpu += f.gpu_pct;
+      }
     }
+    ASSERT_EQ(c.free_cpu_cores(), up_cpu);
+    ASSERT_EQ(c.free_gpu_pct(), up_gpu);
+    ASSERT_GE(c.free_cpu_cores(), 0);
+    ASSERT_LE(c.free_cpu_cores(), c.total_cpu_cores());
+    ASSERT_GE(c.free_gpu_pct(), 0);
+    ASSERT_LE(c.free_gpu_pct(), c.total_gpu_pct());
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const int op = rng.uniform_int(0, 9);
+    if (op < 5) {  // allocate
+      const auto& ask = asks[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(asks.size()) - 1))];
+      if (auto a = c.allocate(ask)) {
+        ASSERT_TRUE(c.machine_up(a->machine));  // never lands on a down machine
+        live.push_back(*a);
+      }
+    } else if (op < 8) {  // release a random outstanding grant
+      if (!live.empty()) {
+        const auto i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(live.size()) - 1));
+        c.release(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+    } else if (op == 8) {
+      c.mark_down(rng.uniform_int(0, machines - 1));
+    } else {
+      c.mark_up(rng.uniform_int(0, machines - 1));
+    }
+    check_invariants();
+  }
+
+  // Drain: return every grant, bring every machine up -> initial state.
+  for (const auto& a : live) c.release(a);
+  for (int m = 0; m < machines; ++m) c.mark_up(m);
+  EXPECT_EQ(c.free_cpu_cores(), c.total_cpu_cores());
+  EXPECT_EQ(c.free_gpu_pct(), c.total_gpu_pct());
+  for (int m = 0; m < machines; ++m) {
+    EXPECT_EQ(c.free_of(m).cpu_cores, spec.cpu_cores);
+    EXPECT_EQ(c.free_of(m).gpu_pct, spec.gpu_pct);
   }
 }
 

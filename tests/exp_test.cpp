@@ -385,6 +385,34 @@ TEST(ExpTrace, BurstDurationAboveTheCeilingIsRejected) {
                {"'duration'", "<= 1000000.0", "got 2000000.0"});
 }
 
+TEST(ExpTrace, RegularTraceAboveTheArrivalCeilingIsRejected) {
+  // 10^9 arrivals asked of the generator; rejected where the config is read.
+  expect_config_error(
+      R"({"trace": {"kind": "regular", "interval": 1e-6, "duration": 1000}})",
+      {"'interval'", ">= duration / 10000000.0 (0.0001)", "got 1e-06"});
+}
+
+TEST(ExpTrace, BurstPeakRateAboveTheArrivalCeilingIsRejected) {
+  expect_config_error(R"({"trace": {"kind": "burst", "peak_rate": 1e12}})",
+                      {"'peak_rate'", "<= 10000000.0 / duration (16666.666666666668)",
+                       "got 1000000000000.0"});
+  // 1e400 reads as infinity, which is >= any quiet_rate.
+  expect_config_error(R"({"trace": {"kind": "burst", "peak_rate": 1e400}})",
+                      {"'peak_rate'", "finite", "got inf"});
+}
+
+TEST(ExpTrace, GridDurationAboveTheArrivalCeilingIsRejected) {
+  // The base trace passes its reader at 60 s; the durations axis then asks
+  // for just over 10^7 arrivals.
+  const auto grid = exp::ExperimentGrid::from_json(json::Value::parse(
+      R"({"base": {"app": "wl1", "trace": {"kind": "regular", "interval": 1e-4, "duration": 60}},
+          "axes": {"durations": [1001]}})"));
+  const auto cells = grid.expand();
+  ASSERT_EQ(cells.size(), 1u);
+  const apps::App app = exp::resolve_app(cells[0]);
+  expect_error([&] { exp::build_trace(cells[0], app); }, {"'interval'", "got 0.0001"});
+}
+
 TEST(ExpConfig, ObservabilityRoundTripsAndStaysOutOfGroupKey) {
   exp::ExperimentConfig a;
   exp::ExperimentConfig b = a;

@@ -75,6 +75,8 @@ struct Fixture {
     platform = std::make_unique<Platform>(engine, cluster, perf::Pricing{}, rng, options);
     injector->arm(engine, cluster);
   }
+
+  PlatformView view() { return PlatformView(*platform); }
 };
 
 // --- FaultInjector unit behaviour -------------------------------------------
@@ -232,7 +234,7 @@ TEST(PlatformFaults, RetryBudgetExhaustedFailsRequest) {
   const auto& m = f.platform->metrics(id);
   EXPECT_EQ(m.completed.size(), 0u);
   EXPECT_EQ(m.failed, 1);
-  EXPECT_EQ(f.platform->in_flight(id), 0);  // failed requests leave the books
+  EXPECT_EQ(f.platform->ledger().in_flight(id), 0);  // failed requests leave the books
   EXPECT_EQ(m.total_init_failures(), m.total_initializations());
   // Budget semantics: the initial attempt plus max_retries retries.
   EXPECT_EQ(m.total_initializations(), 1 + options.max_retries);
@@ -271,7 +273,7 @@ TEST(PlatformFaults, RequestTimeoutFailsStuckRequest) {
   const auto id = f.platform->deploy(single_node_app(), std::make_shared<FixedPolicy>(warm_plan()));
   f.platform->submit_request(id, 1.0);
   f.engine.run_until(8.0);
-  EXPECT_EQ(f.platform->in_flight(id), 1);  // still waiting
+  EXPECT_EQ(f.platform->ledger().in_flight(id), 1);  // still waiting
   f.engine.run_until(120.0);
   f.platform->finalize(120.0);
 
@@ -279,7 +281,7 @@ TEST(PlatformFaults, RequestTimeoutFailsStuckRequest) {
   EXPECT_EQ(m.completed.size(), 0u);
   EXPECT_EQ(m.failed, 1);
   EXPECT_EQ(m.total_timeouts(), 1);
-  EXPECT_EQ(f.platform->in_flight(id), 0);
+  EXPECT_EQ(f.platform->ledger().in_flight(id), 0);
 }
 
 TEST(PlatformFaults, TimeoutDoesNotFireOnCompletedRequests) {
@@ -345,7 +347,7 @@ TEST(PlatformFaults, EvictionMidInferenceRetriesInvocation) {
   // first time node 0 is busy, kill machine 0.
   for (int t = 10; t < 120; ++t) {
     f.engine.schedule_at(0.1 * t, [&] {
-      if (f.cluster.machine_up(0) && f.platform->instances_busy(id, 0) > 0)
+      if (f.cluster.machine_up(0) && f.view().instances_busy(id, 0) > 0)
         f.cluster.mark_down(0);
     });
   }

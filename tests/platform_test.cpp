@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "apps/catalog.hpp"
 #include "cluster/cluster.hpp"
+#include "common/check.hpp"
 #include "obs/event_bus.hpp"
 #include "serverless/platform.hpp"
 #include "serverless/platform_view.hpp"
@@ -39,6 +41,8 @@ struct Fixture {
     options.inference_noise = noise;
     platform = std::make_unique<Platform>(engine, cluster, perf::Pricing{}, rng, options);
   }
+
+  PlatformView view() { return PlatformView(*platform); }
 };
 
 FunctionPlan warm_plan() {
@@ -130,7 +134,7 @@ TEST(Platform, KeepaliveZeroTerminatesAfterUse) {
   f.engine.run_until(100.0);
 
   for (std::size_t n = 0; n < app.dag.size(); ++n)
-    EXPECT_EQ(f.platform->instances_total(id, static_cast<dag::NodeId>(n)), 0);
+    EXPECT_EQ(f.view().instances_total(id, static_cast<dag::NodeId>(n)), 0);
   f.platform->finalize(100.0);
 }
 
@@ -145,11 +149,11 @@ TEST(Platform, FiniteKeepaliveReapsAfterIdlePeriod) {
   // Still warm shortly after completion...
   int total_at_12 = 0;
   for (std::size_t n = 0; n < 4; ++n)
-    total_at_12 += f.platform->instances_total(id, static_cast<dag::NodeId>(n));
+    total_at_12 += f.view().instances_total(id, static_cast<dag::NodeId>(n));
   EXPECT_GT(total_at_12, 0);
   f.engine.run_until(60.0);
   for (std::size_t n = 0; n < 4; ++n)
-    EXPECT_EQ(f.platform->instances_total(id, static_cast<dag::NodeId>(n)), 0);
+    EXPECT_EQ(f.view().instances_total(id, static_cast<dag::NodeId>(n)), 0);
   f.platform->finalize(60.0);
 }
 
@@ -164,7 +168,7 @@ TEST(Platform, PrewarmAvoidsColdStartOnCriticalPath) {
   // Pre-warm every function early enough to be ready at t=30; the grace
   // keeps the warmed (never-used) instances alive until then.
   for (std::size_t n = 0; n < app.dag.size(); ++n)
-    f.platform->prewarm_at(id, static_cast<dag::NodeId>(n), 25.0);
+    f.view().prewarm_at(id, static_cast<dag::NodeId>(n), 25.0);
   f.platform->submit_request(id, 30.0);
   f.engine.run_until(100.0);
   f.platform->finalize(100.0);
@@ -187,7 +191,7 @@ TEST(Platform, PrewarmSkipsWhenInstanceAlreadyWarm) {
   f.engine.run_until(50.0);
   const auto& m0 = f.platform->metrics(id);
   const long inits_before = m0.total_initializations();
-  f.platform->prewarm_at(id, 0, 55.0);
+  f.view().prewarm_at(id, 0, 55.0);
   f.engine.run_until(80.0);
   EXPECT_EQ(f.platform->metrics(id).total_initializations(), inits_before);
   f.platform->finalize(80.0);
@@ -221,7 +225,7 @@ TEST(Platform, MinInstancesFloorSpawnsImmediately) {
   const auto id = f.platform->deploy(app, std::make_shared<FixedPolicy>(plan));
   f.engine.run_until(20.0);
   for (std::size_t n = 0; n < app.dag.size(); ++n)
-    EXPECT_EQ(f.platform->instances_total(id, static_cast<dag::NodeId>(n)), 3);
+    EXPECT_EQ(f.view().instances_total(id, static_cast<dag::NodeId>(n)), 3);
   f.platform->finalize(20.0);
 }
 
@@ -264,9 +268,9 @@ TEST(Platform, InFlightTracksUnfinishedRequests) {
                                      std::make_shared<FixedPolicy>(warm_plan()));
   f.platform->submit_request(id, 1.0);
   f.engine.run_until(1.5);  // mid-execution
-  EXPECT_EQ(f.platform->in_flight(id), 1);
+  EXPECT_EQ(f.platform->ledger().in_flight(id), 1);
   f.engine.run_until(100.0);
-  EXPECT_EQ(f.platform->in_flight(id), 0);
+  EXPECT_EQ(f.platform->ledger().in_flight(id), 0);
   f.platform->finalize(100.0);
 }
 
@@ -280,12 +284,12 @@ TEST(Platform, ConfigChangeReapsStaleInstancesWhenIdle) {
   FunctionPlan gpu_plan;
   gpu_plan.config = {perf::Backend::Gpu, 0, 20};
   gpu_plan.keepalive = FunctionPlan::forever();
-  f.platform->set_plan(id, 0, gpu_plan);
+  f.view().set_plan(id, 0, gpu_plan);
   f.platform->submit_request(id, 60.0);
   f.engine.run_until(200.0);
 
   // Node 0's old CPU instance was replaced by a GPU one.
-  EXPECT_EQ(f.platform->instances_total(id, 0), 1);
+  EXPECT_EQ(f.view().instances_total(id, 0), 1);
   f.platform->finalize(200.0);
   const auto& m = f.platform->metrics(id);
   EXPECT_GT(m.per_function[0].billed_gpu_seconds, 0.0);
@@ -304,13 +308,13 @@ TEST(Platform, PrewarmNotCancelledByDyingInstance) {
   f.platform->submit_request(id, 1.0);  // cold chain, instances die by ~t=14
   // Pre-warm scheduled while the old instances are still around but doomed.
   for (std::size_t n = 0; n < app.dag.size(); ++n)
-    f.platform->prewarm_at(id, static_cast<dag::NodeId>(n), 13.0);
+    f.view().prewarm_at(id, static_cast<dag::NodeId>(n), 13.0);
   f.engine.run_until(20.0);
   // The pre-warm must have created fresh instances even though old ones
   // existed at t=13 (they were going to die before t=13+init).
   int warm = 0;
   for (std::size_t n = 0; n < app.dag.size(); ++n)
-    warm += f.platform->instances_total(id, static_cast<dag::NodeId>(n));
+    warm += f.view().instances_total(id, static_cast<dag::NodeId>(n));
   EXPECT_EQ(warm, static_cast<int>(app.dag.size()));
   f.platform->finalize(20.0);
 }
@@ -324,7 +328,7 @@ TEST(Platform, PrewarmSkippedWhenKeepaliveCoversIt) {
   const long inits = f.platform->metrics(id).total_initializations();
   // Keep-alive is infinite: a pre-warm for any time is redundant.
   for (std::size_t n = 0; n < app.dag.size(); ++n)
-    f.platform->prewarm_at(id, static_cast<dag::NodeId>(n), 40.0);
+    f.view().prewarm_at(id, static_cast<dag::NodeId>(n), 40.0);
   f.engine.run_until(80.0);
   EXPECT_EQ(f.platform->metrics(id).total_initializations(), inits);
   f.platform->finalize(80.0);
@@ -401,13 +405,13 @@ TEST(Platform, PrewarmSkippedWhileInstanceStillInitializing) {
   const auto app = apps::make_voice_assistant();
   const auto id = f.platform->deploy(app, std::make_shared<FixedPolicy>(warm_plan()));
   f.platform->submit_request(id, 1.0);  // node 0 cold init starts at t=1
-  f.platform->prewarm_at(id, 0, 1.5);   // fires mid-init
+  f.view().prewarm_at(id, 0, 1.5);   // fires mid-init
   f.engine.run_until(100.0);
   const auto& m = f.platform->metrics(id);
   ASSERT_EQ(m.completed.size(), 1u);
   // Only the on-demand cold start initialised node 0; the pre-warm did not.
   EXPECT_EQ(m.per_function[0].initializations, 1);
-  EXPECT_EQ(f.platform->instances_total(id, 0), 1);
+  EXPECT_EQ(f.view().instances_total(id, 0), 1);
   f.platform->finalize(100.0);
 }
 
@@ -420,7 +424,7 @@ TEST(Platform, FinalizeCancelsEveryQueuedPrewarm) {
   plan.prewarm_grace = 1.0;
   const auto id =
       f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
-  for (int i = 0; i < 100; ++i) f.platform->prewarm_at(id, 0, 10.0 + 100.0 * i);
+  for (int i = 0; i < 100; ++i) f.view().prewarm_at(id, 0, 10.0 + 100.0 * i);
   f.platform->finalize(5.0);
   f.engine.run_until(20000.0);
   EXPECT_EQ(f.platform->metrics(id).total_initializations(), 0);
@@ -438,17 +442,17 @@ TEST(Platform, FinalizeCancelsExactlyThePendingPrewarms) {
   const auto id =
       f.platform->deploy(apps::make_voice_assistant(), std::make_shared<FixedPolicy>(plan));
   for (const SimTime at : {5.0, 10.0, 10.0, 50.0, 50.0, 70.0})
-    f.platform->prewarm_at(id, 0, at);
+    f.view().prewarm_at(id, 0, at);
   f.engine.run_until(20.0);  // the three due by t=10 fired; their instances were reaped
   EXPECT_GE(f.platform->metrics(id).per_function[0].initializations, 2);
-  ASSERT_EQ(f.platform->instances_total(id, 0), 0);
+  ASSERT_EQ(f.view().instances_total(id, 0), 0);
   const long inits = f.platform->metrics(id).total_initializations();
   const std::uint64_t cancelled = f.engine.stats().cancelled;
   f.platform->finalize(20.0);
   EXPECT_EQ(f.engine.stats().cancelled - cancelled, 3u);
   f.engine.run_until(200.0);
   EXPECT_EQ(f.platform->metrics(id).total_initializations(), inits);
-  EXPECT_EQ(f.platform->instances_total(id, 0), 0);
+  EXPECT_EQ(f.view().instances_total(id, 0), 0);
 }
 
 /// One function (0.33 s inference, ~1.8 s init at 4 cores) on a platform
@@ -472,10 +476,12 @@ struct KeepaliveFixture {
                            std::make_shared<FixedPolicy>(plan));
   }
 
+  PlatformView view() { return PlatformView(*platform); }
+
   void set_keepalive(double keepalive) {
-    FunctionPlan plan = platform->plan(app, 0);
+    FunctionPlan plan = view().plan(app, 0);
     plan.keepalive = keepalive;
-    platform->set_plan(app, 0, plan);
+    view().set_plan(app, 0, plan);
   }
 
   /// Sim times of every published event of `type`, in publish order.
@@ -502,7 +508,7 @@ TEST(Keepalive, ReusedInstanceIsReapedAtLastIdlePlusKeepalive) {
   ASSERT_EQ(ends.size(), 4u);
   ASSERT_EQ(reaps.size(), 1u);
   EXPECT_EQ(reaps[0], ends.back() + 15.0);
-  EXPECT_EQ(f.platform->instances_total(f.app, 0), 0);
+  EXPECT_EQ(f.view().instances_total(f.app, 0), 0);
   f.platform->finalize(200.0);
 }
 
@@ -514,10 +520,10 @@ TEST(Keepalive, WarmClaimCancelsNothing) {
   f.platform->submit_request(f.app, 1.0);
   f.platform->submit_request(f.app, 10.5);
   f.engine.run_until(10.4);
-  ASSERT_EQ(f.platform->instances_idle(f.app, 0), 1);
+  ASSERT_EQ(f.view().instances_idle(f.app, 0), 1);
   const sim::EngineStats before = f.engine.stats();
   f.engine.run_until(10.5);
-  ASSERT_EQ(f.platform->instances_busy(f.app, 0), 1);
+  ASSERT_EQ(f.view().instances_busy(f.app, 0), 1);
   const sim::EngineStats after = f.engine.stats();
   EXPECT_EQ(after.fired, before.fired + 1);          // the arrival
   EXPECT_EQ(after.scheduled, before.scheduled + 1);  // its batch completion
@@ -555,7 +561,7 @@ TEST(Keepalive, PlanSwitchedToForeverIsNeverReaped) {
   f.engine.run_until(500.0);
 
   EXPECT_TRUE(f.times(obs::EventType::InstanceTerminated).empty());
-  EXPECT_EQ(f.platform->instances_total(f.app, 0), 1);
+  EXPECT_EQ(f.view().instances_total(f.app, 0), 1);
   f.platform->finalize(500.0);
 }
 
@@ -566,7 +572,7 @@ TEST(Keepalive, EvictionCancelsThePendingReapTimer) {
   f.platform->submit_request(f.app, 1.0);
   f.platform->submit_request(f.app, 10.0);
   f.engine.run_until(20.0);
-  ASSERT_EQ(f.platform->instances_idle(f.app, 0), 1);
+  ASSERT_EQ(f.view().instances_idle(f.app, 0), 1);
   int machine = -1;
   for (const obs::Event& e : f.bus.events())
     if (e.type == obs::EventType::InstanceCreated) machine = e.machine;
@@ -575,7 +581,7 @@ TEST(Keepalive, EvictionCancelsThePendingReapTimer) {
   const std::size_t live = f.engine.pending();  // window tick + reap timer
   const std::uint64_t cancelled = f.engine.stats().cancelled;
   f.cluster.mark_down(machine);
-  EXPECT_EQ(f.platform->instances_total(f.app, 0), 0);
+  EXPECT_EQ(f.view().instances_total(f.app, 0), 0);
   EXPECT_EQ(f.engine.pending(), live - 1);
   EXPECT_EQ(f.engine.stats().cancelled, cancelled + 1);
   f.platform->finalize(20.0);
@@ -586,12 +592,52 @@ TEST(Keepalive, FinalizeCancelsThePendingReapTimer) {
   f.platform->submit_request(f.app, 1.0);
   f.platform->submit_request(f.app, 10.0);
   f.engine.run_until(20.0);
-  ASSERT_EQ(f.platform->instances_idle(f.app, 0), 1);
+  ASSERT_EQ(f.view().instances_idle(f.app, 0), 1);
   ASSERT_EQ(f.engine.pending(), 2u);  // window tick + reap timer
   f.platform->finalize(20.0);
   EXPECT_EQ(f.engine.pending(), 1u);  // the halted tick, which stops itself
   f.engine.run_until(500.0);
   EXPECT_EQ(f.engine.pending(), 0u);
+}
+
+TEST(PlatformView, SetPlanRejectsAnInvalidPlan) {
+  KeepaliveFixture f(15.0);
+  FunctionPlan plan = f.view().plan(f.app, 0);
+  plan.max_batch = 0;
+  EXPECT_THROW(f.view().set_plan(f.app, 0, plan), CheckError);
+  plan.max_batch = 1;
+  plan.min_instances = -1;
+  EXPECT_THROW(f.view().set_plan(f.app, 0, plan), CheckError);
+  // Neither plan was installed.
+  EXPECT_EQ(f.view().plan(f.app, 0).max_batch, 1);
+  EXPECT_EQ(f.view().plan(f.app, 0).min_instances, 0);
+  f.platform->finalize(0.0);
+}
+
+TEST(PlatformView, CountsFollowOneFunctionThroughAColdStartAndABatch) {
+  // One request at t = 1 to an app of one function with no instance yet.
+  // Stepping the engine one instant at a time, the view's counts move from
+  // nothing to a cold start with the invocation queued, to the batch
+  // running on the new instance, to that instance idle after it.
+  KeepaliveFixture f(FunctionPlan::forever());
+  f.platform->submit_request(f.app, 1.0);
+  using Counts = std::array<long, 5>;  // initializing, idle, busy, total, queued
+  const auto counts = [&] {
+    const PlatformView v = f.view();
+    return Counts{v.instances_initializing(f.app, 0), v.instances_idle(f.app, 0),
+                  v.instances_busy(f.app, 0), v.instances_total(f.app, 0),
+                  static_cast<long>(v.queue_length(f.app, 0))};
+  };
+  std::vector<Counts> seen{counts()};
+  while (f.engine.now() < 100.0) {
+    f.engine.run_until(f.engine.next_time());
+    if (counts() != seen.back()) seen.push_back(counts());
+  }
+  const std::vector<Counts> want = {
+      {0, 0, 0, 0, 0}, {1, 0, 0, 1, 1}, {0, 0, 1, 1, 0}, {0, 1, 0, 1, 0}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(f.platform->metrics(f.app).completed.size(), 1u);
+  f.platform->finalize(f.engine.now());
 }
 
 /// Records every on_window call as (app, window end).

@@ -6,6 +6,7 @@
 #include "baselines/experiment.hpp"
 #include "cluster/cluster.hpp"
 #include "core/smiless_policy.hpp"
+#include "serverless/platform_view.hpp"
 #include "sim/engine.hpp"
 
 namespace smiless::core {
@@ -34,6 +35,8 @@ struct Harness {
     id = platform.deploy(app, policy);
   }
 
+  serverless::PlatformView view() { return serverless::PlatformView(platform); }
+
   static SmilessOptions make_default_options() {
     SmilessOptions o;
     o.use_lstm = false;
@@ -51,7 +54,7 @@ struct Harness {
 TEST(SmilessPolicy, DeployInstallsPlanForEveryFunction) {
   Harness h(apps::make_voice_assistant());
   for (std::size_t n = 0; n < h.app.dag.size(); ++n) {
-    const auto& plan = h.platform.plan(h.id, static_cast<dag::NodeId>(n));
+    const auto& plan = h.view().plan(h.id, static_cast<dag::NodeId>(n));
     EXPECT_GE(plan.max_batch, 1);
   }
   const auto& sol = h.policy->solution();
@@ -105,13 +108,13 @@ TEST(SmilessPolicy, BurstRaisesInstanceFloorsAndCooldownRestores) {
   int peak_floor = 0;
   for (std::size_t n = 0; n < h.app.dag.size(); ++n)
     peak_floor = std::max(peak_floor,
-                          h.platform.plan(h.id, static_cast<dag::NodeId>(n)).min_instances);
+                          h.view().plan(h.id, static_cast<dag::NodeId>(n)).min_instances);
   EXPECT_GT(peak_floor, 1);
 
   // Long after the burst: base plans restored (floor back to zero).
   h.engine.run_until(200.0);
   for (std::size_t n = 0; n < h.app.dag.size(); ++n)
-    EXPECT_EQ(h.platform.plan(h.id, static_cast<dag::NodeId>(n)).min_instances, 0);
+    EXPECT_EQ(h.view().plan(h.id, static_cast<dag::NodeId>(n)).min_instances, 0);
   h.platform.finalize(200.0);
 }
 
@@ -124,8 +127,8 @@ TEST(SmilessPolicy, AutoscalerDisabledKeepsFloorsAtZero) {
   for (SimTime t : trace.arrivals) h.platform.submit_request(h.id, t);
   h.engine.run_until(35.0);
   for (std::size_t n = 0; n < h.app.dag.size(); ++n) {
-    EXPECT_EQ(h.platform.plan(h.id, static_cast<dag::NodeId>(n)).min_instances, 0);
-    EXPECT_EQ(h.platform.plan(h.id, static_cast<dag::NodeId>(n)).max_batch, 1);
+    EXPECT_EQ(h.view().plan(h.id, static_cast<dag::NodeId>(n)).min_instances, 0);
+    EXPECT_EQ(h.view().plan(h.id, static_cast<dag::NodeId>(n)).max_batch, 1);
   }
   h.platform.finalize(35.0);
 }
@@ -203,11 +206,11 @@ TEST(SmilessPolicy, FastPathScalesWithinWindow) {
   h.engine.run_until(1.5);  // before the t=2.0 window tick
   int floor = 0;
   for (std::size_t n = 0; n < h.app.dag.size(); ++n)
-    floor = std::max(floor, h.platform.plan(h.id, static_cast<dag::NodeId>(n)).min_instances);
+    floor = std::max(floor, h.view().plan(h.id, static_cast<dag::NodeId>(n)).min_instances);
   EXPECT_GT(floor, 1);  // scaled out without waiting for the window boundary
   h.engine.run_until(120.0);
   h.platform.finalize(120.0);
-  EXPECT_EQ(h.platform.in_flight(h.id), 0);
+  EXPECT_EQ(h.platform.ledger().in_flight(h.id), 0);
 }
 
 TEST(SmilessPolicy, LstmPredictorsTrainAndServe) {
@@ -227,7 +230,7 @@ TEST(SmilessPolicy, LstmPredictorsTrainAndServe) {
   o.mean_rate = 0.8;
   const auto trace = workload::generate_trace(o, trng);
   h.replay(trace);
-  EXPECT_EQ(h.platform.in_flight(h.id), 0);
+  EXPECT_EQ(h.platform.ledger().in_flight(h.id), 0);
   EXPECT_GT(h.policy->predicted_interarrival(), 0.0);
   EXPECT_LT(h.platform.metrics(h.id).sla_violation_ratio(h.app.sla), 0.25);
 }
@@ -248,7 +251,7 @@ TEST(SmilessPolicy, SingleInputItPredictorVariant) {
   o.duration = 150.0;
   o.mean_rate = 0.8;
   h.replay(workload::generate_trace(o, trng));
-  EXPECT_EQ(h.platform.in_flight(h.id), 0);
+  EXPECT_EQ(h.platform.ledger().in_flight(h.id), 0);
 }
 
 TEST(SmilessPolicy, PeriodicRetrainingRefreshesPredictors) {
@@ -266,7 +269,7 @@ TEST(SmilessPolicy, PeriodicRetrainingRefreshesPredictors) {
   o.duration = 170.0;
   o.mean_rate = 0.8;
   h.replay(workload::generate_trace(o, trng));
-  EXPECT_EQ(h.platform.in_flight(h.id), 0);
+  EXPECT_EQ(h.platform.ledger().in_flight(h.id), 0);
 }
 
 TEST(SmilessPolicy, SurvivesHeavyLatencyJitter) {
@@ -290,7 +293,7 @@ TEST(SmilessPolicy, SurvivesHeavyLatencyJitter) {
   for (SimTime t : trace.arrivals) platform.submit_request(id, t);
   engine.run_until(280.0);
   platform.finalize(280.0);
-  EXPECT_EQ(platform.in_flight(id), 0);
+  EXPECT_EQ(platform.ledger().in_flight(id), 0);
   EXPECT_LT(platform.metrics(id).sla_violation_ratio(app.sla), 0.5);
 }
 
@@ -311,7 +314,7 @@ TEST(SmilessPolicy, SurvivesCapacityStarvedCluster) {
   for (SimTime t : trace.arrivals) platform.submit_request(id, t);
   engine.run_until(300.0);
   platform.finalize(300.0);
-  EXPECT_EQ(platform.in_flight(id), 0);
+  EXPECT_EQ(platform.ledger().in_flight(id), 0);
 }
 
 }  // namespace

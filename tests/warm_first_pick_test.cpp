@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "serverless/function_scheduler.hpp"
+#include "serverless/plan.hpp"
 
 using namespace smiless;
 using namespace smiless::serverless;

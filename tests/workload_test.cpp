@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "math/stats.hpp"
@@ -106,6 +107,17 @@ TEST(Trace, GeneratorsRejectDurationsAboveTheCeiling) {
   o.duration = 2.0 * kMaxTraceDuration;
   EXPECT_THROW(generate_trace(o, rng), CheckError);
   EXPECT_THROW(generate_burst_window(0.5, 12.0, rng, 2.0 * kMaxTraceDuration), CheckError);
+}
+
+TEST(Trace, GeneratorsRejectRatesAboveTheArrivalCeiling) {
+  // Each just over 10^7 expected arrivals, so a generator without the check
+  // builds the trace instead of throwing.
+  Rng rng(13);
+  EXPECT_THROW(generate_regular_trace(9e-5, 0.05, 1000.0, rng), CheckError);
+  EXPECT_THROW(generate_burst_window(0.5, 2e5, rng, 60.0), CheckError);
+  EXPECT_THROW(
+      generate_burst_window(0.5, std::numeric_limits<double>::infinity(), rng, 60.0),
+      CheckError);
 }
 
 TEST(BurstWindow, PeakExceedsQuietPhase) {

@@ -547,6 +547,12 @@ inputs_smoke() {
   echo "{${cell}, \"platform\": {\"inference_noise\": -1}}" > "${dir}/noise.json"
   echo "{${cell}, \"trace\": {\"kind\": \"burst\", \"quiet_rate\": 2, \"peak_rate\": 1}}" \
     > "${dir}/burst.json"
+  echo "{${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 1e-6, \"duration\": 1000}}" \
+    > "${dir}/regular_arrivals.json"
+  echo "{${cell}, \"trace\": {\"kind\": \"burst\", \"peak_rate\": 1e12, \"duration\": 60}}" \
+    > "${dir}/burst_arrivals.json"
+  echo "{${cell}, \"trace\": {\"kind\": \"burst\", \"peak_rate\": 1e400, \"duration\": 60}}" \
+    > "${dir}/burst_inf.json"
   echo "{${cell}, \"sla\": 0}" > "${dir}/sla_zero.json"
   echo "{\"base\": {${cell}}, \"axes\": {\"slas\": [-1]}}" > "${dir}/grid_slas.json"
   local run=(--app wl1 --policy orion --no-lstm --duration 60)
@@ -574,6 +580,9 @@ inputs_smoke() {
   expect_rejected "'retry_max_delay'" --config "${dir}/retry_max_delay.json"
   expect_rejected "'inference_noise'" --config "${dir}/noise.json"
   expect_rejected "'peak_rate'" --config "${dir}/burst.json"
+  expect_rejected "'interval'" --config "${dir}/regular_arrivals.json"
+  expect_rejected "'peak_rate'" --config "${dir}/burst_arrivals.json"
+  expect_rejected "'peak_rate'" --config "${dir}/burst_inf.json"
   expect_rejected "'sla'" --config "${dir}/sla_zero.json"
   expect_rejected "'slas'" --sweep "${dir}/grid_slas.json"
   expect_rejected '--seed: expected an integer, got "abc"' "${run[@]}" --seed abc
@@ -600,7 +609,11 @@ inputs_smoke() {
 # full-size BENCH_throughput.json at the repo root. The cell runs a second
 # time with one lane thread: every sharded row, multi-lane ones included,
 # must count the same trajectory as with the default thread count. Last,
-# `--apps abc` and `--duration 10x` must each exit 2 naming the flag.
+# bad bench flags must each exit 2 naming the flag, without an artifact:
+# `--apps abc`, `--duration 10x`, a fleet smaller than the lanes=8 row
+# populates (`--apps 8 --machines 4`), and the shared flags of the table
+# benches (`bench_fig2_motivation --duration 10x`, `bench_fig3_example
+# --bogus`).
 bench_smoke() {
   echo "==== [bench] shrunken throughput cell + artifact schema ===="
   local dir out
@@ -723,20 +736,28 @@ EOF
   # A flag value that is not wholly a number exits 2 naming the flag; it
   # must not run on the number's prefix or abort in a forked child.
   # bad_flag <flag> <value>
-  bad_flag() {
-    local rc=0
-    "${prefix}/bench/bench_throughput" "$1" "$2" --out "${dir}/bad.json" \
-        > /dev/null 2> "${dir}/stderr.txt" || rc=$?
-    if [ "${rc}" -eq 2 ] && grep -qF -- "$1: expected" "${dir}/stderr.txt" &&
+  # rejected <needle> <bench binary> <args...>
+  rejected() {
+    local needle="$1" bin="$2" rc=0
+    shift 2
+    "${prefix}/bench/${bin}" "$@" > /dev/null 2> "${dir}/stderr.txt" || rc=$?
+    if [ "${rc}" -eq 2 ] && grep -qF -- "${needle}" "${dir}/stderr.txt" &&
        [ ! -e "${dir}/bad.json" ]; then
-      echo "[bench] bench_throughput $1 $2 exits 2 naming $1 OK"
+      echo "[bench] ${bin} $* exits 2 naming ${needle} OK"
       return 0
     fi
-    echo "[bench] ERROR: bench_throughput $1 $2 exited ${rc}, want 2 naming $1"
+    echo "[bench] ERROR: ${bin} $* exited ${rc}, want 2 naming ${needle} and no artifact"
     sed 's/^/[bench]   | /' "${dir}/stderr.txt" | head -5
     return 1
   }
-  bad_flag --apps abc && bad_flag --duration 10x || { rm -rf "${dir}"; return 1; }
+  local bad=(--out "${dir}/bad.json")
+  rejected "--apps: expected" bench_throughput --apps abc "${bad[@]}" &&
+    rejected "--duration: expected" bench_throughput --duration 10x "${bad[@]}" &&
+    rejected "--machines must be >= 6" bench_throughput --apps 8 --machines 4 \
+      --duration 60 --events 20000 "${bad[@]}" &&
+    rejected "--duration: expected" bench_fig2_motivation --duration 10x &&
+    rejected "unknown flag --bogus" bench_fig3_example --bogus ||
+    { rm -rf "${dir}"; return 1; }
   rm -rf "${dir}"
   echo "[bench] throughput smoke green"
 }
@@ -763,7 +784,8 @@ case "${mode}" in
   bench)
     echo "==== [bench] configure + build ===="
     configure_flavor ci "${prefix}"
-    cmake --build "${prefix}" --target bench_throughput -j "${jobs}"
+    cmake --build "${prefix}" --target bench_throughput bench_fig2_motivation \
+      bench_fig3_example -j "${jobs}"
     bench_smoke
     echo "==== bench green ===="
     exit 0
