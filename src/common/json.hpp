@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <sstream>
@@ -20,7 +21,11 @@
 #include <variant>
 #include <vector>
 
+#include "common/output_file.hpp"
+
 namespace smiless::json {
+
+class ArrayWriter;
 
 /// Minimal JSON document model used by the experiment-config layer. Objects
 /// preserve insertion order so that dumping a parsed document (or a config
@@ -109,13 +114,9 @@ class Value {
 #pragma GCC diagnostic pop
 
   /// The elements; throws unless this is an array, naming `key` (when
-  /// given) and the value. The mutable overload lets a caller move them out.
+  /// given) and the value.
   const Array& items(std::string_view key = {}) const {
     if (const Array* a = std::get_if<Array>(&v_)) return *a;
-    type_error(key, "an array");
-  }
-  Array& items(std::string_view key = {}) {
-    if (Array* a = std::get_if<Array>(&v_)) return *a;
     type_error(key, "an array");
   }
 
@@ -239,6 +240,8 @@ class Value {
   }
 
  private:
+  friend class ArrayWriter;
+
   // One alternative per Kind, in Kind order, so kind() is the index.
   using Storage =
       std::variant<std::monostate, bool, long long, double, std::string, Array, Object>;
@@ -313,19 +316,23 @@ class Value {
     out += '"';
   }
 
+  /// Start a line at `depth` levels of `indent` (nothing when compact).
+  static void newline(std::string& out, int indent, int depth) {
+    if (indent <= 0) return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * depth), ' ');
+  }
+
+  /// With `os` given, hand it `out` once `out` holds 64 KiB.
+  static void hand_off(std::string& out, std::ostream* os) {
+    if (os == nullptr || out.size() < (std::size_t{1} << 16)) return;
+    os->write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
+  }
+
   /// Append the document to `out`; with `os` given, hand `out` to it after
   /// any element that takes it past 64 KiB.
   void write(std::string& out, std::ostream* os, int indent, int depth) const {
-    const auto newline = [&](int d) {
-      if (indent <= 0) return;
-      out += '\n';
-      out.append(static_cast<std::size_t>(indent * d), ' ');
-    };
-    const auto flush = [&] {
-      if (os == nullptr || out.size() < (std::size_t{1} << 16)) return;
-      os->write(out.data(), static_cast<std::streamsize>(out.size()));
-      out.clear();
-    };
     switch (kind()) {
       case Kind::Null: out += "null"; break;
       case Kind::Bool: out += std::get<bool>(v_) ? "true" : "false"; break;
@@ -345,11 +352,11 @@ class Value {
         out += '[';
         for (std::size_t i = 0; i < array.size(); ++i) {
           if (i > 0) out += ',';
-          newline(depth + 1);
+          newline(out, indent, depth + 1);
           array[i].write(out, os, indent, depth + 1);
-          flush();
+          hand_off(out, os);
         }
-        newline(depth);
+        newline(out, indent, depth);
         out += ']';
         break;
       }
@@ -362,13 +369,13 @@ class Value {
         out += '{';
         for (std::size_t i = 0; i < object.size(); ++i) {
           if (i > 0) out += ',';
-          newline(depth + 1);
+          newline(out, indent, depth + 1);
           write_string(out, object[i].first);
           out += indent > 0 ? ": " : ":";
           object[i].second.write(out, os, indent, depth + 1);
-          flush();
+          hand_off(out, os);
         }
-        newline(depth);
+        newline(out, indent, depth);
         out += '}';
         break;
       }
@@ -582,12 +589,67 @@ inline Value load_file(const std::string& path) {
   }
 }
 
-/// Write `v.dump(indent)` plus a trailing newline to `path`.
+/// Write `v.dump(indent)` plus a trailing newline to `path`; throws
+/// `cannot write <path>` unless every byte reached the file.
 inline void save_file(const Value& v, const std::string& path, int indent = 2) {
-  std::ofstream os(path);
-  if (!os.good()) throw std::runtime_error("json: cannot write " + path);
-  v.dump(os, indent);
-  os << "\n";
+  OutputFile file(path);
+  v.dump(file.stream(), indent);
+  file.stream() << "\n";
+  file.close();
 }
+
+/// Receives values one at a time: the elements of an array that a
+/// producer streams instead of building it whole.
+using Sink = std::function<void(Value&&)>;
+
+/// Writes one array to `path` an element at a time, so that a document of
+/// any length costs about one element of memory. The file receives exactly
+/// the bytes save_file writes for the whole array or, given a `key`, for
+/// the object {key: array}; each element goes through Value::write and the
+/// same 64 KiB hand-off. close() finishes the document; a writer destroyed
+/// without it leaves the file truncated.
+class ArrayWriter {
+ public:
+  explicit ArrayWriter(const std::string& path, const std::string& key = "")
+      : file_(path), depth_(key.empty() ? 0 : 1) {
+    if (!key.empty()) {
+      out_ += '{';
+      Value::newline(out_, kIndent, 1);
+      Value::write_string(out_, key);
+      out_ += ": ";
+    }
+    out_ += '[';
+  }
+
+  /// Append `element`; nothing of it is kept once this returns.
+  void push(const Value& element) {
+    if (count_++ > 0) out_ += ',';
+    Value::newline(out_, kIndent, depth_ + 1);
+    element.write(out_, &file_.stream(), kIndent, depth_ + 1);
+    Value::hand_off(out_, &file_.stream());
+  }
+
+  /// Close the array (and the object), end with a newline and close the
+  /// file; throws `cannot write <path>` unless every byte reached it.
+  void close() {
+    if (count_ > 0) Value::newline(out_, kIndent, depth_);
+    out_ += ']';
+    if (depth_ > 0) {
+      Value::newline(out_, kIndent, 0);
+      out_ += '}';
+    }
+    out_ += '\n';
+    file_.stream().write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    file_.close();
+  }
+
+ private:
+  static constexpr int kIndent = 2;  ///< save_file's default
+
+  OutputFile file_;
+  std::string out_;
+  int depth_;  ///< the array's own depth: 0 bare, 1 as the key's value
+  std::size_t count_ = 0;
+};
 
 }  // namespace smiless::json

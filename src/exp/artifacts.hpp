@@ -8,6 +8,10 @@
 
 namespace smiless::exp {
 
+// The combined_* documents and windows_csv are what write_artifacts writes,
+// held whole in memory; write_artifacts itself streams the same bytes. Tests
+// and in-process timings call them.
+
 /// Combined Perfetto trace for a set of executed cells: each cell's events
 /// render into their own pid range (pid_base = cell index * 64) labelled
 /// "display_name seed=N", concatenated in cell order into one trace-event
@@ -42,7 +46,12 @@ json::Value combined_profile(const std::vector<CellResult>& cells);
 /// Write whichever artifacts `obs` names to disk. All outputs except the
 /// profile (wall-clock by definition) are pure functions of the cell list,
 /// which the runner returns in input order — byte-stable across thread
-/// counts.
+/// counts. Each file holds the bytes json::save_file writes for its
+/// combined_* document (windows_csv for the CSV), but is written one trace
+/// record, cell row or CSV row at a time, so the JSON artifacts cost about
+/// one cell's row of memory rather than the whole document. The HTML report
+/// is still built whole. Throws `cannot write <path>` when a file cannot be
+/// written in full.
 void write_artifacts(const std::vector<CellResult>& cells, const ObservabilityOptions& obs);
 
 }  // namespace smiless::exp

@@ -35,7 +35,6 @@ void check_trace(const TraceSpec& t) {
   const std::string max_arrivals = json::Value::format_double(workload::kMaxTraceArrivals);
   if (t.kind == "regular") {
     if (!(t.interval > 0.0)) json::reject("interval", "> 0 for a regular trace", t.interval);
-    if (!(t.jitter >= 0.0)) json::reject("jitter", ">= 0 for a regular trace", t.jitter);
     if (!(t.duration > t.interval && t.duration <= workload::kMaxTraceDuration))
       json::reject("duration",
                    "> interval (" + json::Value::format_double(t.interval) + ") and <= " +
@@ -47,6 +46,11 @@ void check_trace(const TraceSpec& t) {
                        json::Value::format_double(t.duration / workload::kMaxTraceArrivals) +
                        ") for a regular trace",
                    t.interval);
+    // Each gap is drawn with spread jitter * interval (interval is finite
+    // here); an infinite one ends the trace after its first arrival.
+    if (!(t.jitter >= 0.0 && std::isfinite(t.jitter) && std::isfinite(t.jitter * t.interval)))
+      json::reject("jitter", ">= 0 and finite, with jitter * interval finite, for a regular trace",
+                   t.jitter);
     return;
   }
   if (!(t.duration > 0.0 && t.duration <= workload::kMaxTraceDuration))

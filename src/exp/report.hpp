@@ -32,7 +32,8 @@ json::Value report_payload(const std::vector<CellResult>& cells, const std::stri
 /// profile-only report through the same template.
 std::string render_report(const json::Value& payload);
 
-/// report_payload + render_report + write to `path`. Throws on I/O failure.
+/// report_payload + render_report + write to `path`. Throws `cannot write
+/// <path>` unless the whole document reached the file.
 void write_report(const std::vector<CellResult>& cells, const std::string& path);
 
 }  // namespace smiless::exp

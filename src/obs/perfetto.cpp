@@ -85,35 +85,10 @@ json::Value flow(const char* ph, long long id, int pid, int tid, double t) {
   return json::Value(std::move(v));
 }
 
-/// Whether an event emits a record below: at most one each (a MachineUp
-/// closes a "down" slice, an InvocationDone is at most one flow step).
-bool emits_record(EventType type) {
-  switch (type) {
-    case EventType::BatchEnd:
-    case EventType::InstanceReady:
-    case EventType::InstanceInitFailed:
-    case EventType::InstanceTerminated:
-    case EventType::InstanceEvicted:
-    case EventType::RequestSubmitted:
-    case EventType::RequestCompleted:
-    case EventType::RequestFailed:
-    case EventType::PrewarmFired:
-    case EventType::RetryScheduled:
-    case EventType::TimeoutFired:
-    case EventType::MachineUp:
-    case EventType::InvocationDone:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
-json::Value perfetto_trace(const std::vector<Event>& events,
-                           const std::map<int, AppTrackInfo>& apps, int pid_base,
-                           const std::string& label) {
-  auto out = json::Value::array();
+void perfetto_records(const std::vector<Event>& events, const std::map<int, AppTrackInfo>& apps,
+                      int pid_base, const std::string& label, const json::Sink& sink) {
   const std::string prefix = label.empty() ? std::string() : label + "/";
   constexpr int kGatewayTid = 1;
 
@@ -122,9 +97,7 @@ json::Value perfetto_trace(const std::vector<Event>& events,
   std::set<int> app_ids;
   // (app, node, instance) -> tid, assigned by sorted order below.
   std::map<std::tuple<int, int, int>, int> instance_tid;
-  std::size_t records = 0;  // an upper bound on the event records below
   for (const auto& e : events) {
-    if (emits_record(e.type)) ++records;
     if (e.type == EventType::MachineUp || e.type == EventType::MachineDown)
       machines.insert(e.machine);
     if (e.app >= 0) app_ids.insert(e.app);
@@ -145,25 +118,21 @@ json::Value perfetto_trace(const std::vector<Event>& events,
     }
   }
   const auto app_pid = [&](int app) { return pid_base + 1 + app; };
-  // Metadata records, event records, and an instant per machine still down.
-  out.items().reserve(1 + 2 * machines.size() + 2 * app_ids.size() + instance_tid.size() +
-                      records);
 
   // --- Metadata ------------------------------------------------------------
   if (!machines.empty()) {
-    out.push_back(meta_event("process_name", pid_base, -1, prefix + "cluster"));
+    sink(meta_event("process_name", pid_base, -1, prefix + "cluster"));
     for (const int m : machines)
-      out.push_back(
-          meta_event("thread_name", pid_base, m + 1, "machine " + std::to_string(m)));
+      sink(meta_event("thread_name", pid_base, m + 1, "machine " + std::to_string(m)));
   }
   for (const int a : app_ids) {
-    out.push_back(meta_event("process_name", app_pid(a), -1, prefix + app_name(apps, a)));
-    out.push_back(meta_event("thread_name", app_pid(a), kGatewayTid, "gateway"));
+    sink(meta_event("process_name", app_pid(a), -1, prefix + app_name(apps, a)));
+    sink(meta_event("thread_name", app_pid(a), kGatewayTid, "gateway"));
   }
   for (const auto& [key, tid] : instance_tid) {
     const auto [app, node, inst] = key;
-    out.push_back(meta_event("thread_name", app_pid(app), tid,
-                             node_name(apps, app, node) + "#" + std::to_string(inst)));
+    sink(meta_event("thread_name", app_pid(app), tid,
+                    node_name(apps, app, node) + "#" + std::to_string(inst)));
   }
 
   // --- Slices and instants, in event-stream (= simulation) order ----------
@@ -178,49 +147,48 @@ json::Value perfetto_trace(const std::vector<Event>& events,
         args.emplace_back("batch", e.count);
         args.emplace_back("request", e.request);
         v.emplace_back("args", json::Value(std::move(args)));
-        out.push_back(json::Value(std::move(v)));
+        sink(json::Value(std::move(v)));
         break;
       }
       case EventType::InstanceReady: {
         const int tid = instance_tid.at(std::make_tuple(e.app, e.node, e.instance));
-        out.push_back(slice("init", app_pid(e.app), tid, e.t2, e.t));
+        sink(slice("init", app_pid(e.app), tid, e.t2, e.t));
         break;
       }
       case EventType::InstanceInitFailed: {
         const int tid = instance_tid.at(std::make_tuple(e.app, e.node, e.instance));
-        out.push_back(slice("init failed", app_pid(e.app), tid, e.t2, e.t));
+        sink(slice("init failed", app_pid(e.app), tid, e.t2, e.t));
         break;
       }
       case EventType::InstanceTerminated:
       case EventType::InstanceEvicted: {
         const int tid = instance_tid.at(std::make_tuple(e.app, e.node, e.instance));
         const char* name = e.type == EventType::InstanceEvicted ? "evict" : "terminate";
-        out.push_back(instant(name, app_pid(e.app), tid, e.t));
+        sink(instant(name, app_pid(e.app), tid, e.t));
         break;
       }
       case EventType::RequestSubmitted:
-        out.push_back(instant("submit #" + std::to_string(e.request), app_pid(e.app),
-                              kGatewayTid, e.t));
+        sink(instant("submit #" + std::to_string(e.request), app_pid(e.app), kGatewayTid,
+                     e.t));
         break;
       case EventType::RequestCompleted:
-        out.push_back(instant("complete #" + std::to_string(e.request), app_pid(e.app),
-                              kGatewayTid, e.t));
+        sink(instant("complete #" + std::to_string(e.request), app_pid(e.app), kGatewayTid,
+                     e.t));
         break;
       case EventType::RequestFailed:
-        out.push_back(instant("fail #" + std::to_string(e.request), app_pid(e.app),
-                              kGatewayTid, e.t));
+        sink(instant("fail #" + std::to_string(e.request), app_pid(e.app), kGatewayTid, e.t));
         break;
       case EventType::PrewarmFired:
-        out.push_back(instant("prewarm " + node_name(apps, e.app, e.node), app_pid(e.app),
-                              kGatewayTid, e.t));
+        sink(instant("prewarm " + node_name(apps, e.app, e.node), app_pid(e.app), kGatewayTid,
+                     e.t));
         break;
       case EventType::RetryScheduled:
-        out.push_back(instant("retry " + node_name(apps, e.app, e.node), app_pid(e.app),
-                              kGatewayTid, e.t));
+        sink(instant("retry " + node_name(apps, e.app, e.node), app_pid(e.app), kGatewayTid,
+                     e.t));
         break;
       case EventType::TimeoutFired:
-        out.push_back(instant("timeout #" + std::to_string(e.request), app_pid(e.app),
-                              kGatewayTid, e.t));
+        sink(instant("timeout #" + std::to_string(e.request), app_pid(e.app), kGatewayTid,
+                     e.t));
         break;
       case EventType::MachineDown:
         down_since[e.machine] = e.t;
@@ -228,7 +196,7 @@ json::Value perfetto_trace(const std::vector<Event>& events,
       case EventType::MachineUp: {
         const auto it = down_since.find(e.machine);
         if (it != down_since.end()) {
-          out.push_back(slice("down", pid_base, e.machine + 1, it->second, e.t));
+          sink(slice("down", pid_base, e.machine + 1, it->second, e.t));
           down_since.erase(it);
         }
         break;
@@ -239,7 +207,7 @@ json::Value perfetto_trace(const std::vector<Event>& events,
   }
   // Machines still down at end of trace: mark with an instant.
   for (const auto& [machine, since] : down_since)
-    out.push_back(instant("down", pid_base, machine + 1, since));
+    sink(instant("down", pid_base, machine + 1, since));
 
   // --- Flow arrows: one chain per multi-stage request ---------------------
   // (app, request) -> spans as (start, node, instance), collected in event
@@ -259,10 +227,17 @@ json::Value perfetto_trace(const std::vector<Event>& events,
       const auto [start, node, inst] = spans[i];
       const int tid = instance_tid.at(std::make_tuple(app, node, inst));
       const char* ph = i == 0 ? "s" : (i + 1 == spans.size() ? "f" : "t");
-      out.push_back(flow(ph, flow_id, app_pid(app), tid, start));
+      sink(flow(ph, flow_id, app_pid(app), tid, start));
     }
   }
+}
 
+json::Value perfetto_trace(const std::vector<Event>& events,
+                           const std::map<int, AppTrackInfo>& apps, int pid_base,
+                           const std::string& label) {
+  json::Value out = json::Value::array();
+  perfetto_records(events, apps, pid_base, label,
+                   [&out](json::Value&& record) { out.push_back(std::move(record)); });
   return out;
 }
 

@@ -33,6 +33,15 @@ struct AppTrackInfo {
 /// pure function of the event stream, so it is byte-stable across runs.
 /// `pid_base` offsets every pid so multiple cells can share one trace file;
 /// a non-empty `label` is prefixed onto process names.
+///
+/// The records go to `sink` one at a time, in array order, and none is
+/// kept once `sink` returns: a trace file is written a record at a time
+/// (json::ArrayWriter). Only the track tables and each multi-stage
+/// request's spans (for the flow arrows) are held until the end.
+void perfetto_records(const std::vector<Event>& events, const std::map<int, AppTrackInfo>& apps,
+                      int pid_base, const std::string& label, const json::Sink& sink);
+
+/// The same records collected into one trace-event array.
 json::Value perfetto_trace(const std::vector<Event>& events,
                            const std::map<int, AppTrackInfo>& apps, int pid_base = 0,
                            const std::string& label = "");

@@ -55,6 +55,11 @@ void Telemetry::on_event(const Event& e) {
   }
 }
 
+void Telemetry::perfetto_records(int pid_base, const std::string& label,
+                                 const json::Sink& sink) const {
+  obs::perfetto_records(bus_.events(), apps_, pid_base, label, sink);
+}
+
 json::Value Telemetry::perfetto_json(int pid_base, const std::string& label) const {
   return perfetto_trace(bus_.events(), apps_, pid_base, label);
 }

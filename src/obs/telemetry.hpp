@@ -51,7 +51,10 @@ class Telemetry {
   /// Serialized time series (requires enable_series + finalize_series).
   json::Value series_json() const { return series_.to_json(apps_); }
 
-  /// Chrome trace-event array for this run (see perfetto.hpp).
+  /// This run's Chrome trace-event records, one at a time into `sink`
+  /// (see perfetto.hpp).
+  void perfetto_records(int pid_base, const std::string& label, const json::Sink& sink) const;
+  /// The same records as one array.
   json::Value perfetto_json(int pid_base = 0, const std::string& label = "") const;
   /// Counters / gauges / histograms with deterministic p50/p90/p95/p99.
   json::Value metrics_json() const;

@@ -116,7 +116,8 @@ Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, doubl
 }
 
 Trace generate_regular_trace(double interval, double jitter_frac, double duration, Rng& rng) {
-  SMILESS_CHECK(interval > 0.0 && jitter_frac >= 0.0 && duration > interval &&
+  SMILESS_CHECK(interval > 0.0 && jitter_frac >= 0.0 && std::isfinite(jitter_frac) &&
+                std::isfinite(jitter_frac * interval) && duration > interval &&
                 duration <= kMaxTraceDuration && duration / interval <= kMaxTraceArrivals);
   Trace trace;
   trace.window = 1.0;

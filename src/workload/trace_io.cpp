@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/output_file.hpp"
 
 namespace smiless::workload {
 
@@ -55,9 +56,9 @@ Trace load_csv(std::istream& is, double window) {
 }
 
 void save_csv_file(const Trace& trace, const std::string& path) {
-  std::ofstream os(path);
-  SMILESS_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
-  save_csv(trace, os);
+  OutputFile file(path);
+  save_csv(trace, file.stream());
+  file.close();
 }
 
 Trace load_csv_file(const std::string& path, double window) {

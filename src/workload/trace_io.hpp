@@ -17,7 +17,8 @@ void save_csv(const Trace& trace, std::ostream& os);
 /// CheckError on non-numeric or non-monotonic timestamps.
 Trace load_csv(std::istream& is, double window = 1.0);
 
-/// Convenience file wrappers.
+/// Convenience file wrappers. save_csv_file throws `cannot write <path>`
+/// unless the whole trace reached the file.
 void save_csv_file(const Trace& trace, const std::string& path);
 Trace load_csv_file(const std::string& path, double window = 1.0);
 

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -238,17 +240,6 @@ TEST(Json, ValueIsCompact) {
   EXPECT_LE(sizeof(json::Value), 48u);
 }
 
-TEST(Json, MutableItemsMovesElementsOut) {
-  json::Value src = json::Value::array();
-  src.push_back(std::string(64, 'x'));
-  const char* buffer = src.items()[0].as_string().data();
-  json::Value dst = json::Value::array();
-  for (auto& e : src.items()) dst.push_back(std::move(e));
-  // The string's heap buffer changed owner; a copy would have made a new one.
-  EXPECT_EQ(dst.items()[0].as_string().data(), buffer);
-  EXPECT_EQ(dst.items()[0].as_string(), std::string(64, 'x'));
-}
-
 TEST(Json, StreamedDumpMatchesDump) {
   // Large enough that dump(os) hands the stream several 64 KiB chunks.
   json::Value doc = json::Value::array();
@@ -264,6 +255,70 @@ TEST(Json, StreamedDumpMatchesDump) {
     doc.dump(os, indent);
     EXPECT_GT(os.str().size(), std::size_t{1} << 17);
     EXPECT_EQ(os.str(), doc.dump(indent));
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+TEST(Json, ArrayWriterMatchesSaveFile) {
+  // The last array takes several 64 KiB hand-offs, inside elements and
+  // between them.
+  json::Value big = json::Value::array();
+  for (int i = 0; i < 3000; ++i) {
+    json::Value e = json::Value::object();
+    e["name"] = "event \"" + std::to_string(i) + "\"\n";
+    e["ts"] = i * 1234.5678;
+    e["args"]["ids"] = json::Value::array();
+    for (int k = 0; k < i % 7; ++k) e["args"]["ids"].push_back(k);
+    big.push_back(std::move(e));
+  }
+  json::Value one = json::Value::array();
+  one.push_back(json::Value::object());
+  const std::string dir = testing::TempDir();
+  for (const json::Value* array : {&big, &one}) {
+    for (const std::string key : {"", "cells"}) {
+      json::Value whole = *array;
+      if (!key.empty()) {
+        whole = json::Value::object();
+        whole[key] = *array;
+      }
+      json::save_file(whole, dir + "/array_writer_whole.json");
+      json::ArrayWriter out(dir + "/array_writer_streamed.json", key);
+      for (const auto& e : array->items()) out.push(e);
+      out.close();
+      EXPECT_EQ(read_file(dir + "/array_writer_streamed.json"),
+                read_file(dir + "/array_writer_whole.json"))
+          << "key '" << key << "', " << array->items().size() << " elements";
+    }
+  }
+  // No element at all: "[]" and {"cells": []}, as save_file writes them.
+  json::ArrayWriter(dir + "/array_writer_empty.json").close();
+  EXPECT_EQ(read_file(dir + "/array_writer_empty.json"), "[]\n");
+  json::ArrayWriter(dir + "/array_writer_empty.json", "cells").close();
+  EXPECT_EQ(read_file(dir + "/array_writer_empty.json"), "{\n  \"cells\": []\n}\n");
+  if (std::filesystem::exists("/dev/full")) {
+    json::ArrayWriter full("/dev/full", "cells");
+    full.push(one);
+    EXPECT_THROW(full.close(), std::runtime_error);
+  }
+}
+
+TEST(Json, SaveFileReportsAFullDevice) {
+  // /dev/full opens, then fails every write: the error shows only when the
+  // buffered bytes are flushed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this host";
+  json::Value doc = json::Value::object();
+  doc["cells"] = json::Value::array();
+  try {
+    json::save_file(doc, "/dev/full");
+    ADD_FAILURE() << "save_file to /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cannot write /dev/full");
   }
 }
 

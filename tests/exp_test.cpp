@@ -245,6 +245,17 @@ TEST(ExpConfig, RejectsNegativeRegularJitter) {
                       {"'jitter'", "got -0.1"});
 }
 
+TEST(ExpConfig, RejectsNonFiniteRegularJitter) {
+  // Each served a one-request trace: an infinite gap spread ends the
+  // arrivals after the first (1e308 * 5 overflows to infinity).
+  expect_config_error(
+      R"({"trace": {"kind": "regular", "interval": 5, "jitter": 1e400, "duration": 60}})",
+      {"'jitter'", "got inf"});
+  expect_config_error(
+      R"({"trace": {"kind": "regular", "interval": 5, "jitter": 1e308, "duration": 60}})",
+      {"'jitter'", "jitter * interval", "got 1e+308"});
+}
+
 TEST(ExpConfig, RejectsRegularDurationNotAboveInterval) {
   expect_config_error(R"({"trace": {"kind": "regular", "interval": 5, "duration": 5}})",
                       {"'duration'", "interval (5.0)", "got 5.0"});

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -80,7 +82,7 @@ std::string summarize(const baselines::RunResult& r) {
 exp::CellResult run_golden(bool with_obs) {
   auto config = golden_config();
   // Any non-empty artifact path attaches a Telemetry; nothing is written
-  // unless write_artifacts is called, which these tests never do.
+  // unless write_artifacts is called.
   if (with_obs) config.obs.audit_out = "(in-memory)";
   exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
   return exp::Runner::run_cell(config, runner.profiles(config.profile_seed),
@@ -308,4 +310,88 @@ TEST(ObsArtifacts, ByteStableAcrossThreadCounts) {
   long long max_pid = -1;
   for (const auto& e : combined.items()) max_pid = std::max(max_pid, e.get("pid", -1ll));
   EXPECT_GE(max_pid, 3 * 64);  // the 4th cell's range was used
+}
+
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+/// write_artifacts streams each file; it must hold exactly the bytes
+/// json::save_file writes for the in-memory document (windows_csv for the
+/// CSV). Returns the streamed trace and metrics files.
+std::pair<std::string, std::string> expect_streamed_equals_whole(
+    const std::vector<exp::CellResult>& cells, const std::string& tag) {
+  const std::string dir = testing::TempDir() + "/obs_streamed_" + tag;
+  std::filesystem::create_directories(dir);
+  exp::ObservabilityOptions obs;
+  obs.trace_out = dir + "/trace.json";
+  obs.metrics_out = dir + "/metrics.json";
+  obs.audit_out = dir + "/audit.json";
+  obs.series_out = dir + "/series.json";
+  obs.profile_out = dir + "/profile.json";
+  obs.windows_out = dir + "/windows.csv";
+  exp::write_artifacts(cells, obs);
+  const auto expect_whole = [&](const std::string& path, const json::Value& doc) {
+    json::save_file(doc, dir + "/whole.json");
+    EXPECT_EQ(read_file(path), read_file(dir + "/whole.json")) << tag << ": " << path;
+  };
+  expect_whole(obs.trace_out, exp::combined_trace(cells));
+  expect_whole(obs.metrics_out, exp::combined_metrics(cells));
+  expect_whole(obs.audit_out, exp::combined_audit(cells));
+  expect_whole(obs.series_out, exp::combined_series(cells));
+  expect_whole(obs.profile_out, exp::combined_profile(cells));
+  EXPECT_EQ(read_file(obs.windows_out), exp::windows_csv(cells)) << tag;
+  return {read_file(obs.trace_out), read_file(obs.metrics_out)};
+}
+
+}  // namespace
+
+TEST(ObsArtifacts, StreamedFilesEqualTheInMemoryDocuments) {
+  // The 4-cell grid of tools/ci.sh's obs smokes, every collector on.
+  exp::ExperimentGrid grid;
+  grid.base.sla = 2.0;
+  grid.base.use_lstm = false;
+  grid.base.trace.kind = "regular";
+  grid.base.trace.interval = 5.0;
+  grid.base.trace.jitter = 0.1;
+  grid.base.trace.duration = 60.0;
+  grid.base.platform.request_timeout = 30.0;
+  grid.base.platform.max_retries = 2;
+  grid.base.faults.init_failure_prob = 0.05;
+  grid.base.faults.straggler_prob = 0.02;
+  grid.base.obs.trace_out = "(in-memory)";
+  grid.base.obs.series_out = "(in-memory)";
+  grid.base.obs.profile_out = "(in-memory)";
+  grid.base.obs.series_cadence = 2.0;
+  grid.apps = {"wl1"};
+  grid.policies = {"smiless", "grandslam"};
+  grid.seeds = {7, 8};
+  exp::Runner runner({/*threads=*/2, /*policy_threads=*/2});
+  const auto cells = runner.run(grid);
+  ASSERT_EQ(cells.size(), 4u);
+  expect_streamed_equals_whole(cells, "grid");
+
+  auto gap = cells;
+  gap[1].telemetry.reset();
+  expect_streamed_equals_whole(gap, "middle_without_telemetry");
+
+  auto bare = cells;
+  for (auto& cell : bare) cell.telemetry.reset();
+  const auto [trace, metrics] = expect_streamed_equals_whole(bare, "no_telemetry");
+  EXPECT_EQ(trace, "[]\n");
+  EXPECT_EQ(metrics, "{\n  \"cells\": []\n}\n");
+  expect_streamed_equals_whole({}, "no_cells");
+
+  // A cell whose telemetry has no series contributes no series row.
+  exp::ExperimentConfig plain = grid.expand().front();
+  plain.obs.series_out.clear();
+  auto mixed = runner.run(std::vector<exp::ExperimentConfig>{plain});
+  ASSERT_FALSE(mixed.front().telemetry->series_enabled());
+  mixed.push_back(cells.back());
+  expect_streamed_equals_whole(mixed, "cell_without_series");
 }

@@ -152,6 +152,9 @@ TEST(RegularTrace, RejectsDegenerateParameters) {
   Rng rng(11);
   EXPECT_THROW(generate_regular_trace(0.0, 0.1, 60.0, rng), CheckError);
   EXPECT_THROW(generate_regular_trace(10.0, -0.1, 60.0, rng), CheckError);
+  EXPECT_THROW(generate_regular_trace(5.0, std::numeric_limits<double>::infinity(), 60.0, rng),
+               CheckError);
+  EXPECT_THROW(generate_regular_trace(5.0, 1e308, 60.0, rng), CheckError);  // spread overflows
   EXPECT_THROW(generate_regular_trace(10.0, 0.1, 5.0, rng), CheckError);
   EXPECT_THROW(generate_regular_trace(10.0, 0.1, 2.0 * kMaxTraceDuration, rng), CheckError);
 }

@@ -507,8 +507,9 @@ EOF
 # (exit 134) and never run as if the input were fine (exit 0). The inputs
 # are an unknown app, a missing or malformed trace file, an unknown or
 # wrong-typed config key, a knob out of range in a config file, a grid axis
-# or a flag, a flag value that is not wholly a number, and a scheduled crash
-# outside the fleet.
+# or a flag, a flag value that is not wholly a number, a scheduled crash
+# outside the fleet, and an output file that cannot be written: /dev/full
+# opens but fails every write, which shows only when the file is flushed.
 inputs_smoke() {
   echo "==== [inputs] bad input exits 2 and names the problem ===="
   local dir fails=0
@@ -555,6 +556,12 @@ inputs_smoke() {
     > "${dir}/burst_inf.json"
   echo "{${cell}, \"sla\": 0}" > "${dir}/sla_zero.json"
   echo "{\"base\": {${cell}}, \"axes\": {\"slas\": [-1]}}" > "${dir}/grid_slas.json"
+  echo "{${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 5, \"jitter\": 1e400," \
+       "\"duration\": 60}}" > "${dir}/jitter_inf.json"
+  echo "{${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 5, \"jitter\": 1e308," \
+       "\"duration\": 60}}" > "${dir}/jitter_overflow.json"
+  echo "{\"base\": {${cell}, \"trace\": {\"kind\": \"regular\", \"interval\": 5," \
+       "\"duration\": 60}}}" > "${dir}/grid_ok.json"
   local run=(--app wl1 --policy orion --no-lstm --duration 60)
 
   expect_rejected "unknown app 'nosuch'" --app nosuch --duration 60
@@ -585,6 +592,18 @@ inputs_smoke() {
   expect_rejected "'peak_rate'" --config "${dir}/burst_inf.json"
   expect_rejected "'sla'" --config "${dir}/sla_zero.json"
   expect_rejected "'slas'" --sweep "${dir}/grid_slas.json"
+  expect_rejected "'jitter'" --config "${dir}/jitter_inf.json"
+  expect_rejected "'jitter'" --config "${dir}/jitter_overflow.json"
+  expect_rejected "cannot write /dev/full" "${run[@]}" --trace-out /dev/full
+  expect_rejected "cannot write /dev/full" "${run[@]}" --metrics-out /dev/full
+  expect_rejected "cannot write /dev/full" "${run[@]}" --audit-out /dev/full
+  expect_rejected "cannot write /dev/full" "${run[@]}" --series-out /dev/full
+  expect_rejected "cannot write /dev/full" "${run[@]}" --windows-out /dev/full
+  expect_rejected "cannot write /dev/full" "${run[@]}" --report-out /dev/full
+  expect_rejected "cannot write /dev/full" "${run[@]}" --dump-trace /dev/full
+  expect_rejected "cannot write /dev/full" --sweep "${dir}/grid_ok.json" --out /dev/full
+  expect_rejected "cannot write /dev/full" --sweep "${dir}/grid_ok.json" --csv /dev/full
+  expect_rejected "cannot write /dev/full" serve "${run[@]}" --speedup 100000 --stream-out /dev/full
   expect_rejected '--seed: expected an integer, got "abc"' "${run[@]}" --seed abc
   expect_rejected '--lanes: expected an integer, got "2x"' "${run[@]}" --lanes 2x
   expect_rejected '--duration: expected a number, got "60x"' "${run[@]}" --duration 60x

@@ -71,14 +71,15 @@
 //   smiless_sim --sweep grid.json --threads 8 --out results.json
 //   smiless_sim --policy all --fault-init-p 0.05 --fault-crash 2@120:60
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
 #include "apps/catalog.hpp"
 #include "baselines/experiment.hpp"
 #include "common/number.hpp"
+#include "common/output_file.hpp"
 #include "common/table.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/artifacts.hpp"
@@ -326,21 +327,15 @@ int run_serve(const CliOptions& cli) {
   const workload::Trace trace = exp::build_trace(cfg, app);
   print_run_header(app, trace);
 
-  std::ofstream stream_file;
+  std::optional<OutputFile> stream_file;
   exp::ServeOptions sopt;
   sopt.speedup = cli.speedup;
-  if (!cli.stream_out.empty()) {
-    stream_file.open(cli.stream_out);
-    if (!stream_file) {
-      std::cerr << "error: cannot open --stream-out " << cli.stream_out << "\n";
-      return 2;
-    }
-    sopt.stream = &stream_file;
-  }
+  if (!cli.stream_out.empty()) sopt.stream = &stream_file.emplace(cli.stream_out).stream();
 
   exp::Runner runner(cli.runner);
   const exp::ServeReport report =
       exp::serve(cfg, runner.profiles(cfg.profile_seed), runner.policy_pool(), sopt);
+  if (stream_file) stream_file->close();
   if (cfg.obs.any()) exp::write_artifacts({report.cell}, cfg.obs);
   print_summary_table({report.cell}, cfg.faults.any());
 
@@ -407,8 +402,9 @@ int run_sweep(const CliOptions& cli) {
     std::cerr << "[exp] wrote " << cli.out_file << "\n";
   }
   if (!cli.csv_file.empty()) {
-    std::ofstream os(cli.csv_file);
-    os << exp::summary_csv(aggregates);
+    OutputFile csv(cli.csv_file);
+    csv.stream() << exp::summary_csv(aggregates);
+    csv.close();
     std::cerr << "[exp] wrote " << cli.csv_file << "\n";
   }
   if (cli.out_file.empty()) {
