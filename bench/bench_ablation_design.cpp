@@ -62,7 +62,7 @@ exp::ExperimentConfig variant_cell(const Variant& variant, exp::ExperimentConfig
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration(400.0);
   const auto all = variants();
@@ -120,3 +120,5 @@ int main(int argc, char** argv) {
   std::cout << "\nEach row disables one extension; the first row is the shipped default.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

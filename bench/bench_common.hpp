@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -123,6 +124,20 @@ inline void parse_bench_args(int argc, char** argv) {
     }
     std::cerr << argv[0] << ": unknown flag " << argv[i] << " (see --help)\n";
     std::exit(2);
+  }
+}
+
+/// Run a bench's main body and report what it throws the way the CLI does:
+/// `<binary>: error: <what>` on stderr and exit 2, where an uncaught
+/// exception would abort (a report or artifact path that cannot be
+/// written, say). Every bench's main is one call:
+/// `return bench::guarded_main(argc, argv, bench_main);`.
+inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": error: " << e.what() << "\n";
+    return 2;
   }
 }
 

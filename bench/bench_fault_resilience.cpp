@@ -13,7 +13,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration(300.0);
 
@@ -54,3 +54,5 @@ int main(int argc, char** argv) {
                "degrades gracefully with p and recovers after the crash window.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

@@ -8,7 +8,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration(400.0);
 
@@ -52,3 +52,5 @@ int main(int argc, char** argv) {
                "Orion's cost gap narrows as the SLA loosens.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

@@ -9,7 +9,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration(400.0);
   const std::vector<double> sigmas = {0.0, 1.0, 2.0, 3.0};
@@ -77,3 +77,5 @@ int main(int argc, char** argv) {
                "average < 8%.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

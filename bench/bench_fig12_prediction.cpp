@@ -40,7 +40,7 @@ Eval walk_forward(const predictor::SeriesPredictor& p, std::span<const double> s
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   // "1 h train / 21 h test" scaled: 1200 train windows, 4x that for test.
   const auto train_len = static_cast<std::size_t>(bench_duration(1200.0));
@@ -161,3 +161,5 @@ int main(int argc, char** argv) {
                "the dual-input LSTM overestimates less than SMIless-S.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

@@ -12,7 +12,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration();
 
@@ -86,3 +86,5 @@ int main(int argc, char** argv) {
                "violations blow up once the SLA outpaces the CPU backend.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

@@ -7,7 +7,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   auto cfg = base_config(2.0, 60.0);
   cfg.app = "wl3";
@@ -38,3 +38,5 @@ int main(int argc, char** argv) {
             << "Shape check: pods track invocations; CPU share grows at the peak.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

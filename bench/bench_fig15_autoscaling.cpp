@@ -7,7 +7,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   exp::ExperimentGrid grid;
   grid.base = base_config(2.0, 60.0);
@@ -36,3 +36,5 @@ int main(int argc, char** argv) {
                "violate (GrandSLAm-style) or overspend (keep-warm policies).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

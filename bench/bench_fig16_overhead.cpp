@@ -168,7 +168,7 @@ BENCHMARK(BM_LstmFit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   // Fig. 16a companion table: search-space nodes explored per method.
   std::cout << "=== Fig. 16a: nodes explored vs longest path length ===\n";
   TextTable table({"path length", "path search", "CSP dynamic program", "exhaustive"});
@@ -238,3 +238,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

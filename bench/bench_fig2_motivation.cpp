@@ -8,7 +8,7 @@
 
 using namespace smiless;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::parse_bench_args(argc, argv);
   const perf::Pricing pricing;
   const perf::HwConfig cpu16{perf::Backend::Cpu, 16, 0};
@@ -50,3 +50,5 @@ int main(int argc, char** argv) {
             << "Shape check: warm GPU ~10x faster; cold GPU slower than cold CPU.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

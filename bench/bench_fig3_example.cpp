@@ -26,7 +26,7 @@ double chain_latency(const core::ChainSolution& s) { return s.latency; }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::parse_bench_args(argc, argv);
   const perf::Pricing pricing;
   const auto fns = pipeline();
@@ -80,3 +80,5 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper shape: Orion ~1.6x optimal (37.7% saving), IceBreaker ~1.33x optimal.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

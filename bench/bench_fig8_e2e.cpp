@@ -10,7 +10,7 @@
 using namespace smiless;
 using namespace smiless::bench;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration();
 
@@ -112,3 +112,5 @@ int main(int argc, char** argv) {
                "IceBreaker/GrandSLAm multiples above; Orion/Aquatope violate heavily.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

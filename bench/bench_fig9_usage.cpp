@@ -25,7 +25,7 @@ void add_usage_row(TextTable& table, const std::string& name, const Usage& u) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   parse_bench_args(argc, argv);
   const double duration = bench_duration();
 
@@ -75,3 +75,5 @@ int main(int argc, char** argv) {
                "Aquatope highest reinit fraction; GrandSLAm lowest.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

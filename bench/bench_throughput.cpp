@@ -37,7 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -48,6 +47,7 @@
 #include "apps/catalog.hpp"
 #include "bench/bench_common.hpp"
 #include "common/json.hpp"
+#include "common/output_file.hpp"
 #include "common/rng.hpp"
 #include "prof/profiler.hpp"
 #include "serverless/plan.hpp"
@@ -318,7 +318,7 @@ Micro run_micro(std::uint64_t total_events, std::size_t live, std::uint64_t seed
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   CellConfig cc;
   std::uint64_t micro_events = 2'000'000;
   std::size_t micro_live = 10'000;
@@ -553,15 +553,13 @@ int main(int argc, char** argv) {
       add("sharded lanes=" + std::to_string(lane_counts[i]), lane_counts[i],
           sharded[i].profile);
     payload["cells"] = std::move(cells);
-    std::ofstream os(bench::bench_args().report_out, std::ios::binary);
-    if (!os.good()) {
-      std::fprintf(stderr, "bench_throughput: cannot write %s\n",
-                   bench::bench_args().report_out.c_str());
-      return 1;
-    }
-    os << exp::render_report(payload);
+    OutputFile report(bench::bench_args().report_out, std::ios::out | std::ios::binary);
+    report.stream() << exp::render_report(payload);
+    report.close();
     std::fprintf(stderr, "bench_throughput: wrote %s\n",
                  bench::bench_args().report_out.c_str());
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::guarded_main(argc, argv, bench_main); }

@@ -72,7 +72,7 @@ struct ExperimentOptions {
   obs::Telemetry* telemetry = nullptr;
 
   /// Optional runtime self-profiler (non-owning; must outlive the run).
-  /// When set, the engine and the platform subsystems record wall-clock
+  /// When set, the engine and the platform record wall-clock
   /// scope timings and sampled internal counters into it (per lane under
   /// sharding, merged back with a per-lane breakdown). Wall-clock only:
   /// the trajectory and every golden-compared artifact are identical with

@@ -12,8 +12,8 @@
 /// `profile` section of BENCH_throughput.json.
 ///
 /// Model: an RAII ScopeTimer pushes a frame per instrumented site
-/// (sim::Engine::run_until, event-queue ops, Gateway window ticks, dispatch,
-/// pool lifecycle, the policy solver, sharded lane window steps and the
+/// (sim::Engine::run_until, event-queue ops, window ticks, dispatch,
+/// container lifecycle, the policy solver, sharded lane window steps and the
 /// coordinator's wait for the lanes). Frames nest; on pop the child's wall time is charged to the
 /// parent's "children" bucket, so for every site we report
 ///   inclusive_ns  - total wall time with the site anywhere on the stack,
@@ -58,11 +58,11 @@ enum class Site : int {
   EngineRun,       ///< sim::Engine::run_until dispatch loop
   EngineSchedule,  ///< event-queue insert (Engine::schedule_at)
   EngineCancel,    ///< event-queue cancel (Engine::cancel)
-  GatewayWindow,   ///< Gateway::close_window: one app's window (minus the solver)
+  GatewayWindow,   ///< Platform::close_window: one app's window (minus the solver)
   PolicyWindow,    ///< Policy::on_window solver call inside the tick
-  Dispatch,        ///< FunctionScheduler::dispatch (queues -> batches)
-  PoolCreate,      ///< InstancePool::create_instance (cold-start issue)
-  PoolBatchDone,   ///< InstancePool::on_batch_done (completion bookkeeping)
+  Dispatch,        ///< Platform::dispatch (queues -> batches)
+  PoolCreate,      ///< Platform::create_instance (starts a cold init)
+  PoolBatchDone,   ///< Platform::on_batch_done (completion bookkeeping)
   LaneStep,        ///< ShardedPlatform: one window of one lane's run
   ShardBarrier,    ///< ShardedPlatform: coordinator's one wait for all lanes
   Finalize,        ///< Platform/ShardedPlatform finalize + telemetry merge

@@ -63,9 +63,8 @@ struct AppState {
 /// AppTable — the platform's one table of serving state: every deployed
 /// app's spec, policy, open window, requests and functions, keyed by AppId
 /// in deployment order, plus whether the platform was finalized. The
-/// subsystems (Gateway, RequestTracker, FunctionScheduler, InstancePool) own
-/// the behaviour and the PlatformView reads and plans through it; the Ledger
-/// keeps the books. An app's state never moves once added, so references to
+/// Platform's members act on it, the PlatformView reads and plans through
+/// it, and the Ledger keeps the books. An app's state never moves once added, so references to
 /// it and to its functions survive later deploys.
 class AppTable {
  public:

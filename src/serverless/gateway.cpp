@@ -1,25 +1,14 @@
-#include "serverless/gateway.hpp"
+#include "serverless/platform.hpp"
 
 #include "common/check.hpp"
 #include "prof/profiler.hpp"
-#include "serverless/app_table.hpp"
-#include "serverless/ledger.hpp"
 #include "serverless/platform_view.hpp"
-#include "serverless/request_tracker.hpp"
-#include "sim/engine.hpp"
+
+// The Platform's arrival intake and counting windows.
 
 namespace smiless::serverless {
 
-Gateway::Gateway(sim::Engine& engine, const PlatformOptions& options, AppTable& table,
-                 Ledger& ledger)
-    : engine_(engine), options_(options), table_(table), ledger_(ledger) {}
-
-void Gateway::wire(Platform* platform, RequestTracker* tracker) {
-  platform_ = platform;
-  tracker_ = tracker;
-}
-
-void Gateway::start(AppId app) {
+void Platform::start_windows(AppId app) {
   if (grids_.empty() || grids_.back().opened != engine_.now()) {
     WindowGrid& grid = grids_.emplace_back();
     grid.opened = engine_.now();
@@ -29,7 +18,7 @@ void Gateway::start(AppId app) {
   grids_.back().apps.push_back(app);
 }
 
-void Gateway::window_tick(WindowGrid& grid) {
+void Platform::window_tick(WindowGrid& grid) {
   if (table_.finalized()) return;  // engine may still drain ticks after finalize()
   // A deploy from on_window opens a new grid (its instant is not this
   // grid's), so this app list cannot grow while it ticks.
@@ -38,7 +27,7 @@ void Gateway::window_tick(WindowGrid& grid) {
   engine_.schedule_at(grid.next_end, [this, &grid] { window_tick(grid); });
 }
 
-void Gateway::close_window(AppId app, SimTime end) {
+void Platform::close_window(AppId app, SimTime end) {
   prof::ScopeTimer scope(options_.prof, prof::Site::GatewayWindow);
   AppState& a = table_.app(app);
   WindowStats stats;
@@ -61,21 +50,21 @@ void Gateway::close_window(AppId app, SimTime end) {
   ledger_.books(app).windows.push_back(sample);
 
   a.open_arrivals = 0;
-  PlatformView view(*platform_);
+  PlatformView view(*this);
   {
     prof::ScopeTimer solver(options_.prof, prof::Site::PolicyWindow);
     a.policy->on_window(app, a.spec, view, stats);
   }
 }
 
-void Gateway::submit(AppId app, SimTime arrival) {
+void Platform::submit_request(AppId app, SimTime arrival) {
   SMILESS_CHECK(arrival >= engine_.now());
   engine_.schedule_at(arrival, [this, app] {
     ++ledger_.books(app).submitted;
     ++table_.app(app).open_arrivals;
-    PlatformView view(*platform_);
+    PlatformView view(*this);
     table_.policy(app).on_arrival(app, table_.spec(app), view, engine_.now());
-    tracker_->admit(app);
+    admit(app);
   });
 }
 

@@ -11,9 +11,9 @@
 
 namespace smiless::serverless {
 
-/// One container instance of a function: the unit the InstancePool manages,
-/// the FunctionScheduler selects among, and the Ledger bills from `created`
-/// to its termination instant.
+/// One container instance of a function: the unit the Platform's container
+/// lifecycle manages, dispatch selects among, and the Ledger bills from
+/// `created` to its termination instant.
 struct Instance {
   InstanceId id = -1;
   perf::HwConfig config;

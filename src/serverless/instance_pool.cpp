@@ -1,4 +1,4 @@
-#include "serverless/instance_pool.hpp"
+#include "serverless/platform.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -7,52 +7,36 @@
 #include "faults/fault_injector.hpp"
 #include "obs/event_bus.hpp"
 #include "prof/profiler.hpp"
-#include "serverless/app_table.hpp"
-#include "serverless/function_scheduler.hpp"
-#include "serverless/ledger.hpp"
 #include "serverless/platform_view.hpp"
-#include "serverless/request_tracker.hpp"
+
+// The Platform's per-instance lifecycle transitions: claims, cold starts
+// and their retry ladder, batch completion, keep-alive reaping. The
+// externally driven control paths live in instance_pool_control.cpp.
 
 namespace smiless::serverless {
 
 using obs::EventType;
 
-InstancePool::InstancePool(sim::Engine& engine, cluster::Cluster& cluster, Rng& rng,
-                           const PlatformOptions& options, AppTable& table, Ledger& ledger)
-    : engine_(engine),
-      cluster_(cluster),
-      rng_(rng),
-      options_(options),
-      table_(table),
-      ledger_(ledger) {}
-
-void InstancePool::wire(Platform* platform, FunctionScheduler* scheduler,
-                        RequestTracker* tracker) {
-  platform_ = platform;
-  scheduler_ = scheduler;
-  tracker_ = tracker;
-}
-
-void InstancePool::claim(Instance& inst) {
+void Platform::claim(Instance& inst) {
   inst.kill_at = std::numeric_limits<SimTime>::infinity();
   inst.st = InstanceState::Busy;
   inst.served = true;
 }
 
-double InstancePool::backoff_delay(int attempt) const {
+double Platform::backoff_delay(int attempt) const {
   double d = options_.retry_delay;
   for (int i = 1; i < attempt && d < options_.retry_max_delay; ++i) d *= options_.retry_backoff;
   return std::min(d, options_.retry_max_delay);
 }
 
-void InstancePool::ensure_capacity(AppId app, dag::NodeId node) {
+void Platform::ensure_capacity(AppId app, dag::NodeId node) {
   auto& f = table_.fn(app, node);
   if (!f.instances.empty()) return;
   if (create_instance(app, node, f.plan.config) != nullptr) return;
   if (f.retry_scheduled) return;
   if (options_.max_retries >= 0 && f.retry_attempts >= options_.max_retries) {
     f.retry_attempts = 0;
-    scheduler_->fail_queued(app, node);
+    fail_queued(app, node);
     return;
   }
   ++f.retry_attempts;
@@ -67,12 +51,11 @@ void InstancePool::ensure_capacity(AppId app, dag::NodeId node) {
                            .count = f.retry_attempts});
   engine_.schedule_after(backoff_delay(f.retry_attempts), [this, app, node] {
     table_.fn(app, node).retry_scheduled = false;
-    scheduler_->dispatch(app, node);
+    dispatch(app, node);
   });
 }
 
-Instance* InstancePool::create_instance(AppId app, dag::NodeId node,
-                                        const perf::HwConfig& config) {
+Instance* Platform::create_instance(AppId app, dag::NodeId node, const perf::HwConfig& config) {
   prof::ScopeTimer scope(options_.prof, prof::Site::PoolCreate);
   auto& f = table_.fn(app, node);
   auto alloc = cluster_.allocate(config);
@@ -110,7 +93,7 @@ Instance* InstancePool::create_instance(AppId app, dag::NodeId node,
   return &f.instances.back();
 }
 
-void InstancePool::on_init_done(AppId app, dag::NodeId node, InstanceId instance_id) {
+void Platform::on_init_done(AppId app, dag::NodeId node, InstanceId instance_id) {
   auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
@@ -129,7 +112,7 @@ void InstancePool::on_init_done(AppId app, dag::NodeId node, InstanceId instance
   on_instance_idle(app, node, instance_id);
 }
 
-void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instance_id) {
+void Platform::on_init_failed(AppId app, dag::NodeId node, InstanceId instance_id) {
   auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
@@ -149,7 +132,7 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
   retire_accounting(app, node, *it);
   f.instances.erase(it);
   ++f.retry_attempts;
-  PlatformView view(*platform_);
+  PlatformView view(*this);
   table_.policy(app).on_instance_failed(app, table_.spec(app), view, node,
                                         InstanceFailure::InitFailure);
   if (f.queue.empty()) return;
@@ -158,7 +141,7 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
   // retries before giving up.
   if (options_.max_retries >= 0 && f.retry_attempts > options_.max_retries) {
     f.retry_attempts = 0;
-    scheduler_->fail_queued(app, node);
+    fail_queued(app, node);
     return;
   }
   ++ledger_.fn(app, node).retries;
@@ -168,11 +151,11 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
                            .app = app,
                            .node = node,
                            .count = f.retry_attempts});
-  scheduler_->dispatch(app, node);
+  dispatch(app, node);
 }
 
-void InstancePool::on_batch_done(AppId app, dag::NodeId node, InstanceId instance_id,
-                                 SimTime exec_start) {
+void Platform::on_batch_done(AppId app, dag::NodeId node, InstanceId instance_id,
+                             SimTime exec_start) {
   prof::ScopeTimer scope(options_.prof, prof::Site::PoolBatchDone);
   auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
@@ -184,7 +167,7 @@ void InstancePool::on_batch_done(AppId app, dag::NodeId node, InstanceId instanc
   const std::vector<RequestId>& batch = it->inflight;
   const int batch_n = static_cast<int>(batch.size());
   if (options_.record_traces) {
-    for (RequestId r : batch) tracker_->record_span(app, node, r, exec_start, batch_n);
+    for (RequestId r : batch) record_span(app, node, r, exec_start, batch_n);
   }
   if (options_.bus != nullptr) {
     options_.bus->publish({.type = EventType::BatchEnd,
@@ -208,14 +191,14 @@ void InstancePool::on_batch_done(AppId app, dag::NodeId node, InstanceId instanc
   // complete_node readies only successors of `node` (never `node` itself,
   // in a DAG) and calls no policy hook, so this function's instance list,
   // and with it `it` and its batch, cannot change while the loop runs.
-  for (RequestId r : batch) tracker_->complete_node(app, node, r);
+  for (RequestId r : batch) complete_node(app, node, r);
   it->inflight.clear();  // keeps the capacity for the instance's next batch
   on_instance_idle(app, node, instance_id);
 }
 
-void InstancePool::on_instance_idle(AppId app, dag::NodeId node, InstanceId instance_id) {
+void Platform::on_instance_idle(AppId app, dag::NodeId node, InstanceId instance_id) {
   // Serve any queued work first; the instance may go Busy again.
-  scheduler_->dispatch(app, node);
+  dispatch(app, node);
 
   auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
@@ -247,7 +230,7 @@ void InstancePool::on_instance_idle(AppId app, dag::NodeId node, InstanceId inst
   }
 }
 
-void InstancePool::arm_reap(AppId app, dag::NodeId node, Instance& inst) {
+void Platform::arm_reap(AppId app, dag::NodeId node, Instance& inst) {
   if (inst.kill_timer != 0) {
     // A timer due no later than kill_at re-arms itself when it fires; only
     // a keep-alive that shrank below it costs a cancel.
@@ -259,7 +242,7 @@ void InstancePool::arm_reap(AppId app, dag::NodeId node, Instance& inst) {
       inst.kill_at, [this, app, node, id = inst.id] { on_reap_timer(app, node, id); });
 }
 
-void InstancePool::on_reap_timer(AppId app, dag::NodeId node, InstanceId instance_id) {
+void Platform::on_reap_timer(AppId app, dag::NodeId node, InstanceId instance_id) {
   auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });
@@ -276,12 +259,12 @@ void InstancePool::on_reap_timer(AppId app, dag::NodeId node, InstanceId instanc
     terminate_instance(app, node, instance_id);
 }
 
-void InstancePool::retire_accounting(AppId app, dag::NodeId node, const Instance& inst) {
+void Platform::retire_accounting(AppId app, dag::NodeId node, const Instance& inst) {
   ledger_.bill_instance(app, node, inst, engine_.now());
   cluster_.release(inst.alloc);
 }
 
-void InstancePool::terminate_instance(AppId app, dag::NodeId node, InstanceId instance_id) {
+void Platform::terminate_instance(AppId app, dag::NodeId node, InstanceId instance_id) {
   auto& f = table_.fn(app, node);
   auto it = std::find_if(f.instances.begin(), f.instances.end(),
                          [&](const Instance& i) { return i.id == instance_id; });

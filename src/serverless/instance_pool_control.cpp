@@ -1,24 +1,20 @@
-#include "serverless/instance_pool.hpp"
+#include "serverless/platform.hpp"
 
 #include <algorithm>
 
 #include "common/check.hpp"
 #include "obs/event_bus.hpp"
-#include "serverless/app_table.hpp"
-#include "serverless/function_scheduler.hpp"
-#include "serverless/ledger.hpp"
 #include "serverless/platform_view.hpp"
-#include "serverless/request_tracker.hpp"
 
-// The InstancePool's externally driven control paths: plan reconciliation,
-// pre-warm timers, machine-down eviction and finalize. The per-instance
-// lifecycle transitions live in instance_pool.cpp.
+// The Platform's externally driven container-lifecycle paths: plan
+// reconciliation, pre-warm timers, machine-down eviction and finalize. The
+// per-instance lifecycle transitions live in instance_pool.cpp.
 
 namespace smiless::serverless {
 
 using obs::EventType;
 
-void InstancePool::on_machine_down(int machine) {
+void Platform::on_machine_down(int machine) {
   if (table_.finalized()) return;
   for (AppId app = 0; static_cast<std::size_t>(app) < table_.size(); ++app) {
     auto& fns = table_.app(app).fns;
@@ -53,7 +49,7 @@ void InstancePool::on_machine_down(int machine) {
           ++r.retries;
           ++fm.retries;
           if (options_.max_retries >= 0 && r.retries > options_.max_retries) {
-            tracker_->fail_request(app, *rit);
+            fail_request(app, *rit);
             continue;
           }
           f.queue.push_front(*rit);
@@ -62,16 +58,16 @@ void InstancePool::on_machine_down(int machine) {
         f.instances.erase(f.instances.begin() + static_cast<long>(i));
       }
       if (evicted) {
-        PlatformView view(*platform_);
+        PlatformView view(*this);
         table_.policy(app).on_instance_failed(app, table_.spec(app), view, node,
                                               InstanceFailure::Eviction);
-        scheduler_->dispatch(app, node);
+        dispatch(app, node);
       }
     }
   }
 }
 
-void InstancePool::apply_plan(AppId app, dag::NodeId node, const FunctionPlan& plan) {
+void Platform::apply_plan(AppId app, dag::NodeId node, const FunctionPlan& plan) {
   auto& f = table_.fn(app, node);
   // Reap idle instances whose configuration no longer matches (above the
   // floor); busy ones are reaped when they next go idle.
@@ -91,7 +87,7 @@ void InstancePool::apply_plan(AppId app, dag::NodeId node, const FunctionPlan& p
   }
 }
 
-void InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
+void Platform::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
   auto& f = table_.fn(app, node);
   const SimTime at = std::max(init_start, engine_.now());
   const sim::EventId id = engine_.schedule_at(at, [this, app, node] {
@@ -145,7 +141,7 @@ void InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
   f.prewarms.push_back({at, id});
 }
 
-void InstancePool::finalize(SimTime end) {
+void Platform::finalize_instances(SimTime end) {
   for (AppId app = 0; static_cast<std::size_t>(app) < table_.size(); ++app) {
     auto& fns = table_.app(app).fns;
     for (std::size_t n = 0; n < fns.size(); ++n) {

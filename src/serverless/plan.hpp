@@ -12,7 +12,7 @@ namespace smiless::serverless {
 struct FunctionPlan {
   perf::HwConfig config{perf::Backend::Cpu, 1, 0};
 
-  /// Seconds an instance may sit idle before the InstancePool reaps it.
+  /// Seconds an instance may sit idle before the platform reaps it.
   /// 0 terminates immediately after the queue drains (pre-warming mode,
   /// Case I of §V-B); infinity keeps the instance alive (Case II).
   double keepalive = std::numeric_limits<double>::infinity();

@@ -16,26 +16,18 @@ Platform::Platform(sim::Engine& engine, cluster::Cluster& cluster, perf::Pricing
       cluster_(cluster),
       rng_(rng),
       options_(options),
-      ledger_(pricing),
-      gateway_(engine_, options_, table_, ledger_),
-      tracker_(engine_, options_, table_, ledger_),
-      scheduler_(engine_, rng_, options_, table_, ledger_),
-      pool_(engine_, cluster_, rng_, options_, table_, ledger_) {
+      ledger_(pricing) {
   SMILESS_CHECK(options_.window_seconds > 0.0);
   SMILESS_CHECK(options_.retry_delay > 0.0);
   SMILESS_CHECK(options_.retry_backoff >= 1.0);
   SMILESS_CHECK(options_.retry_max_delay >= options_.retry_delay);
   SMILESS_CHECK(options_.request_timeout > 0.0);
-  gateway_.wire(this, &tracker_);
-  tracker_.wire(&scheduler_);
-  scheduler_.wire(&tracker_, &pool_);
-  pool_.wire(this, &scheduler_, &tracker_);
   cluster_listener_ = cluster_.add_listener([this](int machine, bool up) {
     if (options_.bus != nullptr)
       options_.bus->publish({.type = up ? EventType::MachineUp : EventType::MachineDown,
                              .t = engine_.now(),
                              .machine = machine});
-    if (!up) pool_.on_machine_down(machine);
+    if (!up) on_machine_down(machine);
   });
 }
 
@@ -49,17 +41,15 @@ AppId Platform::deploy(apps::App app, std::shared_ptr<Policy> policy) {
 
   PlatformView view(*this);
   table_.policy(id).on_deploy(id, table_.spec(id), view);
-  gateway_.start(id);  // after on_deploy: deploy-time plans precede any tick
+  start_windows(id);  // after on_deploy: deploy-time plans precede any tick
   return id;
 }
-
-void Platform::submit_request(AppId app, SimTime arrival) { gateway_.submit(app, arrival); }
 
 void Platform::finalize(SimTime end) {
   if (table_.finalized()) return;
   table_.finalize();
-  pool_.finalize(end);
-  tracker_.finalize();
+  finalize_instances(end);
+  cancel_timeouts();
 }
 
 }  // namespace smiless::serverless

@@ -9,7 +9,7 @@ namespace smiless::serverless {
 
 /// The platform's one control surface: what policies (and tests) plan,
 /// pre-warm, scale and observe through. It acts on the platform's AppTable
-/// and subsystems directly, as a friend of Platform, and withholds the
+/// and private members directly, as a friend of Platform, and withholds the
 /// run-lifecycle operations (deploy, submit_request, finalize) and the raw
 /// Ledger. Inside a sharded cell every lane's platform hands out its own
 /// view, so a policy can never observe or mutate cross-lane state
@@ -29,8 +29,8 @@ class PlatformView {
     SMILESS_CHECK(plan.max_batch >= 1);
     SMILESS_CHECK(plan.min_instances >= 0);
     platform_->table_.fn(app, node).plan = plan;
-    platform_->pool_.apply_plan(app, node, plan);
-    platform_->scheduler_.dispatch(app, node);
+    platform_->apply_plan(app, node, plan);
+    platform_->dispatch(app, node);
   }
   const FunctionPlan& plan(AppId app, dag::NodeId node) const {
     return platform_->table_.fn(app, node).plan;
@@ -40,13 +40,13 @@ class PlatformView {
   /// init begins then) unless an existing instance is expected to still be
   /// warm when the pre-warmed one would become ready.
   void prewarm_at(AppId app, dag::NodeId node, SimTime init_start) {
-    platform_->pool_.prewarm_at(app, node, init_start);
+    platform_->prewarm_at(app, node, init_start);
   }
 
   /// Force-create one instance now (cold). Returns false if the cluster had
   /// no capacity.
   bool spawn_instance(AppId app, dag::NodeId node) {
-    return platform_->pool_.create_instance(app, node, plan(app, node).config) != nullptr;
+    return platform_->create_instance(app, node, plan(app, node).config) != nullptr;
   }
 
   // --- introspection --------------------------------------------------------

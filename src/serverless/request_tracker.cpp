@@ -1,24 +1,17 @@
-#include "serverless/request_tracker.hpp"
+#include "serverless/platform.hpp"
 
 #include <cmath>
 
 #include "common/check.hpp"
 #include "obs/event_bus.hpp"
-#include "serverless/app_table.hpp"
-#include "serverless/function_scheduler.hpp"
-#include "serverless/ledger.hpp"
-#include "serverless/platform.hpp"
-#include "sim/engine.hpp"
+
+// The Platform's per-request DAG progress and terminal transitions.
 
 namespace smiless::serverless {
 
 using obs::EventType;
 
-RequestTracker::RequestTracker(sim::Engine& engine, const PlatformOptions& options,
-                               AppTable& table, Ledger& ledger)
-    : engine_(engine), options_(options), table_(table), ledger_(ledger) {}
-
-RequestId RequestTracker::admit(AppId app) {
+RequestId Platform::admit(AppId app) {
   AppState& a = table_.app(app);
   const auto& spec = a.spec;
   RequestState r;
@@ -40,7 +33,7 @@ RequestId RequestTracker::admit(AppId app) {
   return ridx;
 }
 
-void RequestTracker::on_node_ready(AppId app, dag::NodeId node, RequestId request) {
+void Platform::on_node_ready(AppId app, dag::NodeId node, RequestId request) {
   if (options_.record_traces) table_.request(app, request).ready_at[node] = engine_.now();
   if (options_.bus != nullptr)
     options_.bus->publish({.type = EventType::InvocationReady,
@@ -49,10 +42,10 @@ void RequestTracker::on_node_ready(AppId app, dag::NodeId node, RequestId reques
                            .node = node,
                            .request = request});
   arm_timeout(app, node, request);
-  scheduler_->enqueue(app, node, request);
+  enqueue(app, node, request);
 }
 
-void RequestTracker::arm_timeout(AppId app, dag::NodeId node, RequestId request) {
+void Platform::arm_timeout(AppId app, dag::NodeId node, RequestId request) {
   if (!std::isfinite(options_.request_timeout)) return;
   auto& r = table_.request(app, request);
   if (r.timeout_ev.empty()) r.timeout_ev.assign(table_.spec(app).dag.size(), 0);
@@ -74,7 +67,7 @@ void RequestTracker::arm_timeout(AppId app, dag::NodeId node, RequestId request)
       });
 }
 
-void RequestTracker::fail_request(AppId app, RequestId request) {
+void Platform::fail_request(AppId app, RequestId request) {
   auto& r = table_.request(app, request);
   if (r.done || r.failed) return;
   r.failed = true;
@@ -93,11 +86,11 @@ void RequestTracker::fail_request(AppId app, RequestId request) {
   }
   // Strip every queued (not yet executing) invocation of this request; a
   // batch already in flight finishes and is ignored by complete_node.
-  scheduler_->strip_request(app, request);
+  strip_request(app, request);
 }
 
-void RequestTracker::record_span(AppId app, dag::NodeId node, RequestId request,
-                                 SimTime exec_start, int batch_size) {
+void Platform::record_span(AppId app, dag::NodeId node, RequestId request, SimTime exec_start,
+                           int batch_size) {
   auto& r = table_.request(app, request);
   NodeSpan span;
   span.node = node;
@@ -110,7 +103,7 @@ void RequestTracker::record_span(AppId app, dag::NodeId node, RequestId request,
   r.spans.push_back(span);
 }
 
-void RequestTracker::complete_node(AppId app, dag::NodeId node, RequestId request) {
+void Platform::complete_node(AppId app, dag::NodeId node, RequestId request) {
   auto& r = table_.request(app, request);
   if (r.failed) return;  // late completion of a batch holding a failed request
   SMILESS_CHECK(!r.done);
@@ -139,7 +132,7 @@ void RequestTracker::complete_node(AppId app, dag::NodeId node, RequestId reques
   }
 }
 
-void RequestTracker::finalize() {
+void Platform::cancel_timeouts() {
   // Outstanding per-invocation timeout timers die with the run.
   for (AppId app = 0; static_cast<std::size_t>(app) < table_.size(); ++app)
     for (auto& r : table_.app(app).requests)

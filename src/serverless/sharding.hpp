@@ -64,7 +64,7 @@ struct ShardOptions {
 
   /// Merged self-profiler output (non-owning, may be null). Profilers are
   /// not thread-safe, so each lane times itself into a private Profiler
-  /// (lane window steps, engine, platform subsystems) while the coordinator
+  /// (lane window steps, engine, platform) while the coordinator
   /// charges its one wait for all lanes here; lane profilers are merged
   /// into this one — keeping a per-lane breakdown — after the run. Lanes
   /// run on the calling thread nest their profilers in this one, so their

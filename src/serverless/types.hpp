@@ -3,9 +3,8 @@
 namespace smiless::serverless {
 
 /// Shared identifier vocabulary of the serverless layer. Hoisted out of
-/// policy.hpp so the Policy interface, the Platform, its AppTable and the
-/// subsystems (Gateway, RequestTracker, FunctionScheduler, InstancePool,
-/// Ledger) can name the same ids without a Policy<->Platform header tangle.
+/// policy.hpp so the Policy interface, the Platform, its AppTable and its
+/// Ledger can name the same ids without a Policy<->Platform header tangle.
 
 /// Index into the platform's application table, in deployment order.
 using AppId = int;

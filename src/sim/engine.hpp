@@ -43,7 +43,7 @@ class Engine {
   SimTime now() const { return now_; }
 
   /// Schedule `cb` at absolute sim time `t` (>= now). Returns a handle
-  /// usable with cancel(); the InstancePool cancels pre-warm timers with it,
+  /// usable with cancel(); the platform cancels pre-warm timers with it,
   /// and keep-alive reap timers when their instance is terminated, evicted
   /// or finalized, or its keep-alive shrinks (a warm claim cancels nothing).
   EventId schedule_at(SimTime t, Callback cb);

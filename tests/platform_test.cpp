@@ -640,6 +640,34 @@ TEST(PlatformView, CountsFollowOneFunctionThroughAColdStartAndABatch) {
   f.platform->finalize(f.engine.now());
 }
 
+TEST(PlatformView, SpawnInstanceReportsAFullCluster) {
+  // Two 4-core machines hold two 4-core instances. The third spawn finds no
+  // room: it returns false, which is where SMIless' scale-out, Orion and
+  // Aquatope stop spawning, and leaves no instance and no init behind.
+  sim::Engine engine;
+  cluster::Cluster small(2, {4, 0});
+  Rng rng(5);
+  Platform platform(engine, small, perf::Pricing{}, rng);
+  apps::App single;
+  single.name = "single";
+  single.sla = 30.0;
+  single.dag.add_node("QA");
+  single.truth.push_back(apps::model_by_name("QA"));
+  const auto app = platform.deploy(single, std::make_shared<FixedPolicy>(warm_plan()));
+
+  PlatformView view(platform);
+  EXPECT_TRUE(view.spawn_instance(app, 0));
+  EXPECT_TRUE(view.spawn_instance(app, 0));
+  const long inits = view.metrics(app).per_function[0].initializations;
+  EXPECT_EQ(view.instances_total(app, 0), 2);
+  EXPECT_EQ(inits, 2);
+
+  EXPECT_FALSE(view.spawn_instance(app, 0));
+  EXPECT_EQ(view.instances_total(app, 0), 2);
+  EXPECT_EQ(view.metrics(app).per_function[0].initializations, inits);
+  platform.finalize(0.0);
+}
+
 /// Records every on_window call as (app, window end).
 class WindowRecorder : public Policy {
  public:

@@ -1,12 +1,12 @@
-// Unit tests for the scheduler's dispatch order (warm_first_pick in
-// serverless/function_scheduler.hpp): a plan-matching idle instance first,
-// else the first idle one, else none.
+// Unit tests for the platform's dispatch order (warm_first_pick in
+// serverless/platform.hpp): a plan-matching idle instance first, else the
+// first idle one, else none.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "serverless/function_scheduler.hpp"
 #include "serverless/plan.hpp"
+#include "serverless/platform.hpp"
 
 using namespace smiless;
 using namespace smiless::serverless;

@@ -197,6 +197,17 @@ lint_step() {
   fi
   echo "[lint] detlint clean (report: ${report})"
 
+  # A --json report that cannot be written in full exits 2 naming the path.
+  local rc=0
+  "${prefix}/tools/detlint/detlint" -q --layers "${repo}/tools/detlint/layers.json" \
+      --exclude detlint_corpus --json /dev/full "${repo}/src" \
+      > /dev/null 2> "${prefix}/detlint-stderr.txt" || rc=$?
+  if [ "${rc}" -ne 2 ] || ! grep -qF "cannot write /dev/full" "${prefix}/detlint-stderr.txt"; then
+    echo "[lint] ERROR: detlint --json /dev/full exited ${rc}, want 2 naming /dev/full"
+    return 1
+  fi
+  echo "[lint] detlint --json /dev/full exits 2 naming the path OK"
+
   compile_db_check
 
   local tidy=""
@@ -632,7 +643,9 @@ inputs_smoke() {
 # `--apps abc`, `--duration 10x`, a fleet smaller than the lanes=8 row
 # populates (`--apps 8 --machines 4`), and the shared flags of the table
 # benches (`bench_fig2_motivation --duration 10x`, `bench_fig3_example
-# --bogus`).
+# --bogus`); and an output that cannot be written in full (`--out` or
+# `--report-out` on /dev/full, a report in a missing directory) must exit 2
+# naming its path.
 bench_smoke() {
   echo "==== [bench] shrunken throughput cell + artifact schema ===="
   local dir out
@@ -754,7 +767,6 @@ print(f"[bench] schema OK; lanes=1: {rows[0]['requests_per_sec']:.0f} requests/s
 EOF
   # A flag value that is not wholly a number exits 2 naming the flag; it
   # must not run on the number's prefix or abort in a forked child.
-  # bad_flag <flag> <value>
   # rejected <needle> <bench binary> <args...>
   rejected() {
     local needle="$1" bin="$2" rc=0
@@ -770,12 +782,20 @@ EOF
     return 1
   }
   local bad=(--out "${dir}/bad.json")
+  local small=(--apps 24 --machines 12 --duration 90 --events 20000)
   rejected "--apps: expected" bench_throughput --apps abc "${bad[@]}" &&
     rejected "--duration: expected" bench_throughput --duration 10x "${bad[@]}" &&
     rejected "--machines must be >= 6" bench_throughput --apps 8 --machines 4 \
       --duration 60 --events 20000 "${bad[@]}" &&
     rejected "--duration: expected" bench_fig2_motivation --duration 10x &&
-    rejected "unknown flag --bogus" bench_fig3_example --bogus ||
+    rejected "unknown flag --bogus" bench_fig3_example --bogus &&
+    rejected "cannot write /dev/full" bench_throughput "${small[@]}" --out /dev/full &&
+    rejected "cannot write /dev/full" bench_throughput "${small[@]}" \
+      --out "${dir}/written_first.json" --report-out /dev/full &&
+    rejected "cannot write ${dir}/missing/r.html" bench_fault_resilience --duration 30 \
+      --report-out "${dir}/missing/r.html" &&
+    rejected "cannot write /dev/full" bench_fault_resilience --duration 30 \
+      --report-out /dev/full ||
     { rm -rf "${dir}"; return 1; }
   rm -rf "${dir}"
   echo "[bench] throughput smoke green"
@@ -804,7 +824,7 @@ case "${mode}" in
     echo "==== [bench] configure + build ===="
     configure_flavor ci "${prefix}"
     cmake --build "${prefix}" --target bench_throughput bench_fig2_motivation \
-      bench_fig3_example -j "${jobs}"
+      bench_fig3_example bench_fault_resilience -j "${jobs}"
     bench_smoke
     echo "==== bench green ===="
     exit 0

@@ -18,12 +18,12 @@
 //
 // Exit status: 0 clean, 1 violations found, 2 usage/IO error.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "archlint.hpp"
+#include "common/output_file.hpp"
 #include "scanner.hpp"
 
 namespace {
@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
       baselined = true;
     }
     if (!json_out.empty()) {
-      std::ofstream out(json_out, std::ios::binary);
-      if (!out) throw std::runtime_error("detlint: cannot write " + json_out);
-      out << detlint::report_json(violations);
+      smiless::OutputFile out(json_out, std::ios::out | std::ios::binary);
+      out.stream() << detlint::report_json(violations);
+      out.close();
     }
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
